@@ -13,7 +13,6 @@
    crossovers sit) are the reproduction targets; see EXPERIMENTS.md. *)
 
 module B = Bigfloat
-module E = Elementary
 module CM = Machine.Cost_model
 module W = Workloads
 
@@ -554,19 +553,7 @@ let ablate_delivery () =
    asserted. The GC comparison runs separately with a short epoch so
    enough passes exist to amortize the periodic full scans. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Fpvm.Stats.json_escape
 
 let bench_json () =
   hr "BENCH_overhead.json: trace emulation + incremental GC evidence";

@@ -41,24 +41,14 @@ let config_fingerprint (c : Fpvm.Engine.config) machine =
     c.Fpvm.Engine.use_jit c.Fpvm.Engine.jit_threshold
     c.Fpvm.Engine.jit_max_trace_len machine
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Fpvm.Stats.json_escape
 
+(* The envelope, every registry field (Stats.json_members), then the
+   derived and run-level members. *)
 let print_json ~workload ~arith ~scale (r : Fpvm.Engine.result) =
   let s = r.Fpvm.Engine.stats in
-  let kv_s k v = Printf.sprintf "  %S: \"%s\"" k (json_escape v) in
-  let kv_i k v = Printf.sprintf "  %S: %d" k v in
+  let kv_s k v = Printf.sprintf "%S: \"%s\"" k (json_escape v) in
+  let kv_i k v = Printf.sprintf "%S: %d" k v in
   let fields =
     [
       kv_i "schema_version" 1;
@@ -68,69 +58,16 @@ let print_json ~workload ~arith ~scale (r : Fpvm.Engine.result) =
       kv_i "cycles" r.Fpvm.Engine.cycles;
       kv_i "insns" r.Fpvm.Engine.insns;
       kv_i "fp_insns" r.Fpvm.Engine.fp_insns;
-      kv_i "fp_traps" s.Fpvm.Stats.fp_traps;
-      kv_i "correctness_traps" s.Fpvm.Stats.correctness_traps;
-      kv_i "corr_demote_boxed" s.Fpvm.Stats.corr_demote_boxed;
-      kv_i "corr_demote_clean" s.Fpvm.Stats.corr_demote_clean;
-      kv_i "patched_sites" s.Fpvm.Stats.patched_sites;
-      kv_i "patched_sites_boxed" s.Fpvm.Stats.patched_sites_boxed;
-      kv_i "trap_checks_elided" s.Fpvm.Stats.trap_checks_elided;
-      kv_i "oracle_loads_checked" s.Fpvm.Stats.oracle_loads_checked;
-      kv_i "oracle_boxed_loads" s.Fpvm.Stats.oracle_boxed_loads;
-      kv_i "traces" s.Fpvm.Stats.traces;
-      kv_i "trace_insns" s.Fpvm.Stats.trace_insns;
-      kv_i "traps_avoided" s.Fpvm.Stats.traps_avoided;
-      kv_i "emulated_insns" s.Fpvm.Stats.emulated_insns;
-      kv_i "math_calls" s.Fpvm.Stats.math_calls;
-      kv_i "decode_hits" s.Fpvm.Stats.decode_hits;
-      kv_i "decode_misses" s.Fpvm.Stats.decode_misses;
-      kv_i "plan_hits" s.Fpvm.Stats.plan_hits;
-      kv_i "plan_misses" s.Fpvm.Stats.plan_misses;
-      kv_i "plan_invalidations" s.Fpvm.Stats.plan_invalidations;
-      kv_i "temps_elided" s.Fpvm.Stats.temps_elided;
-      kv_i "temps_materialized" s.Fpvm.Stats.temps_materialized;
-      kv_i "allocs_avoided" (Fpvm.Stats.allocs_avoided s);
-      kv_i "jit_compiles" s.Fpvm.Stats.jit_compiles;
-      kv_i "jit_hits" s.Fpvm.Stats.jit_hits;
-      kv_i "jit_links" s.Fpvm.Stats.jit_links;
-      kv_i "jit_guard_exits" s.Fpvm.Stats.jit_guard_exits;
-      kv_i "jit_invalidations" s.Fpvm.Stats.jit_invalidations;
-      kv_i "cyc_jit" s.Fpvm.Stats.cyc_jit;
-      kv_i "cyc_plan" s.Fpvm.Stats.cyc_plan;
-      kv_i "cyc_bind" s.Fpvm.Stats.cyc_bind;
-      kv_i "cyc_emu_dispatch" s.Fpvm.Stats.cyc_emu_dispatch;
-      kv_i "boxes_allocated" s.Fpvm.Stats.boxes_allocated;
-      kv_i "gc_passes" s.Fpvm.Stats.gc_passes;
-      kv_i "gc_full_passes" s.Fpvm.Stats.gc_full_passes;
-      kv_i "gc_freed" s.Fpvm.Stats.gc_freed;
-      kv_i "gc_words_scanned" s.Fpvm.Stats.gc_words_scanned;
-      kv_i "replay_events" s.Fpvm.Stats.replay_events;
-      kv_i "replay_checkpoints" s.Fpvm.Stats.replay_checkpoints;
-      kv_i "replay_checkpoint_bytes" s.Fpvm.Stats.replay_checkpoint_bytes;
-      kv_i "replay_log_bytes" s.Fpvm.Stats.replay_log_bytes;
-      kv_i "tel_events" s.Fpvm.Stats.tel_events;
-      kv_i "tel_dropped" s.Fpvm.Stats.tel_dropped;
-      kv_i "fpa_sites_proven" s.Fpvm.Stats.fpa_sites_proven;
-      kv_i "fused_unguarded" s.Fpvm.Stats.fused_unguarded;
-      kv_i "shadow_elided" s.Fpvm.Stats.shadow_elided;
-      kv_i "jit_fused_steps" s.Fpvm.Stats.jit_fused_steps;
-      kv_i "fpa_sub_violations" s.Fpvm.Stats.fpa_sub_violations;
-      kv_i "fpa_nan_violations" s.Fpvm.Stats.fpa_nan_violations;
-      kv_i "cache_hits" s.Fpvm.Stats.cache_hits;
-      kv_i "cache_misses" s.Fpvm.Stats.cache_misses;
-      kv_i "blocks_shared" s.Fpvm.Stats.blocks_shared;
-      kv_i "cyc_compile_shared" s.Fpvm.Stats.cyc_compile_shared;
-      kv_i "flows_open" s.Fpvm.Stats.flows_open;
-      kv_i "flows_completed" s.Fpvm.Stats.flows_completed;
-      kv_i "flows_dropped" s.Fpvm.Stats.flows_dropped;
-      kv_i "flows_real" s.Fpvm.Stats.flows_real;
-      kv_i "flows_spurious" s.Fpvm.Stats.flows_spurious;
-      kv_i "output_bytes" (String.length r.Fpvm.Engine.output);
-      kv_i "serialized_bytes" (String.length r.Fpvm.Engine.serialized);
-      kv_s "stats_fingerprint" (Fpvm.Stats.fingerprint s);
     ]
+    @ Fpvm.Stats.json_members s
+    @ [
+        kv_i "allocs_avoided" (Fpvm.Stats.allocs_avoided s);
+        kv_i "output_bytes" (String.length r.Fpvm.Engine.output);
+        kv_i "serialized_bytes" (String.length r.Fpvm.Engine.serialized);
+        kv_s "stats_fingerprint" (Fpvm.Stats.fingerprint s);
+      ]
   in
-  Printf.printf "{\n%s\n}\n" (String.concat ",\n" fields)
+  Printf.printf "{\n  %s\n}\n" (String.concat ",\n  " fields)
 
 let print_stats (r : Fpvm.Engine.result) =
   let s = r.Fpvm.Engine.stats in
@@ -138,67 +75,10 @@ let print_stats (r : Fpvm.Engine.result) =
   Printf.eprintf "instructions executed: %d (%d FP)\n" r.Fpvm.Engine.insns
     r.Fpvm.Engine.fp_insns;
   Printf.eprintf "cycles: %d\n" r.Fpvm.Engine.cycles;
-  Printf.eprintf "fp traps: %d, correctness traps: %d (%d boxed / %d clean)\n"
-    s.Fpvm.Stats.fp_traps s.Fpvm.Stats.correctness_traps
-    s.Fpvm.Stats.corr_demote_boxed s.Fpvm.Stats.corr_demote_clean;
-  Printf.eprintf
-    "vsa: %d sites patched (%d ever boxed), %d trap checks elided\n"
-    s.Fpvm.Stats.patched_sites s.Fpvm.Stats.patched_sites_boxed
-    s.Fpvm.Stats.trap_checks_elided;
-  if s.Fpvm.Stats.oracle_loads_checked > 0 then
-    Printf.eprintf "oracle: %d loads checked, %d boxed-value violations\n"
-      s.Fpvm.Stats.oracle_loads_checked s.Fpvm.Stats.oracle_boxed_loads;
-  Printf.eprintf
-    "fpa: %d sites proven, %d fused unguarded, %d shadow checks elided, %d fused steps\n"
-    s.Fpvm.Stats.fpa_sites_proven s.Fpvm.Stats.fused_unguarded
-    s.Fpvm.Stats.shadow_elided s.Fpvm.Stats.jit_fused_steps;
-  if s.Fpvm.Stats.fpa_sub_violations > 0 || s.Fpvm.Stats.fpa_nan_violations > 0
-  then
-    Printf.eprintf "fpa VIOLATIONS: %d subnormal, %d nan/inf birth\n"
-      s.Fpvm.Stats.fpa_sub_violations s.Fpvm.Stats.fpa_nan_violations;
-  Printf.eprintf "traces: %d (mean len %.1f), in-trace faults absorbed: %d\n"
-    s.Fpvm.Stats.traces
+  Format.eprintf "%a@." Fpvm.Stats.pp s;
+  Printf.eprintf "mean trace len: %.1f, allocs avoided: %d\n"
     (Fpvm.Stats.mean_trace_len s)
-    s.Fpvm.Stats.traps_avoided;
-  Printf.eprintf "emulated insns: %d, math calls: %d\n"
-    s.Fpvm.Stats.emulated_insns s.Fpvm.Stats.math_calls;
-  Printf.eprintf "decode cache: %d hits / %d misses\n" s.Fpvm.Stats.decode_hits
-    s.Fpvm.Stats.decode_misses;
-  Printf.eprintf "plans: %d hits / %d misses (%d invalidated)\n"
-    s.Fpvm.Stats.plan_hits s.Fpvm.Stats.plan_misses
-    s.Fpvm.Stats.plan_invalidations;
-  Printf.eprintf
-    "jit: %d compiles, %d hits, %d links, %d guard exits (%d invalidated)\n"
-    s.Fpvm.Stats.jit_compiles s.Fpvm.Stats.jit_hits s.Fpvm.Stats.jit_links
-    s.Fpvm.Stats.jit_guard_exits s.Fpvm.Stats.jit_invalidations;
-  if s.Fpvm.Stats.cache_hits > 0 || s.Fpvm.Stats.cache_misses > 0 then
-    Printf.eprintf
-      "artifact cache: %d hits / %d misses, %d blocks shared (%d compile \
-       cycles off-guest)\n"
-      s.Fpvm.Stats.cache_hits s.Fpvm.Stats.cache_misses
-      s.Fpvm.Stats.blocks_shared s.Fpvm.Stats.cyc_compile_shared;
-  Printf.eprintf
-    "temps elided: %d (%d re-boxed at trace exit, %d allocs avoided)\n"
-    s.Fpvm.Stats.temps_elided s.Fpvm.Stats.temps_materialized
     (Fpvm.Stats.allocs_avoided s);
-  Printf.eprintf "boxes allocated: %d, gc passes: %d, freed: %d\n"
-    s.Fpvm.Stats.boxes_allocated s.Fpvm.Stats.gc_passes s.Fpvm.Stats.gc_freed;
-  Printf.eprintf "gc: %d full passes, %d words scanned\n"
-    s.Fpvm.Stats.gc_full_passes s.Fpvm.Stats.gc_words_scanned;
-  if s.Fpvm.Stats.replay_events > 0 then
-    Printf.eprintf "replay: %d events (%d bytes), %d checkpoints (%d bytes)\n"
-      s.Fpvm.Stats.replay_events s.Fpvm.Stats.replay_log_bytes
-      s.Fpvm.Stats.replay_checkpoints s.Fpvm.Stats.replay_checkpoint_bytes;
-  if s.Fpvm.Stats.tel_events > 0 then
-    Printf.eprintf "telemetry: %d events observed (%d ring-dropped)\n"
-      s.Fpvm.Stats.tel_events s.Fpvm.Stats.tel_dropped;
-  if
-    s.Fpvm.Stats.flows_open > 0 || s.Fpvm.Stats.flows_completed > 0
-    || s.Fpvm.Stats.flows_dropped > 0
-  then
-    Printf.eprintf "flows: %d completed, %d open, %d dropped\n"
-      s.Fpvm.Stats.flows_completed s.Fpvm.Stats.flows_open
-      s.Fpvm.Stats.flows_dropped;
   let b = Fpvm.Stats.breakdown s in
   Printf.eprintf "avg cycles/virtualized insn: %.0f\n" b.Fpvm.Stats.avg_total
 

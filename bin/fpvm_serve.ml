@@ -15,42 +15,30 @@
    workload/flags run solo under fpvm_run; --verify-solo re-runs each
    guest solo after the fleet and exits 7 on any mismatch. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* One guest's JSON line: the envelope, every registry field
+   (Stats.json_members), then the fingerprint. *)
 let guest_json (r : Fleet.guest_result) =
   let g = r.Fleet.r_guest in
-  Printf.sprintf
-    "{\"guest\": %d, \"workload\": \"%s\", \"arith\": \"%s\", \"scale\": \
-     \"%s\", \"gc\": \"%s\", \"domain\": %d, \"cycles\": %d, \"insns\": %d, \
-     \"fp_insns\": %d, \"output_bytes\": %d, \"fpa_sites_proven\": %d, \
-     \"fused_unguarded\": %d, \"shadow_elided\": %d, \"jit_compiles\": %d, \
-     \"cache_hits\": %d, \"cache_misses\": %d, \"blocks_shared\": %d, \
-     \"cyc_compile_shared\": %d, \"flows_open\": %d, \"flows_completed\": \
-     %d, \"flows_dropped\": %d, \"fingerprint\": \"%s\"}"
-    g.Fleet.g_id
-    (json_escape g.Fleet.g_workload)
-    (json_escape (Fleet.guest_arith g))
-    (Fleet.scale_string g.Fleet.g_scale)
-    (if g.Fleet.g_config.Fpvm.Engine.incremental_gc then "inc" else "full")
-    r.Fleet.r_domain r.Fleet.r_cycles r.Fleet.r_insns r.Fleet.r_fp_insns
-    (String.length r.Fleet.r_output)
-    r.Fleet.r_fpa_sites_proven r.Fleet.r_fused_unguarded
-    r.Fleet.r_shadow_elided r.Fleet.r_jit_compiles r.Fleet.r_cache_hits
-    r.Fleet.r_cache_misses r.Fleet.r_blocks_shared r.Fleet.r_cyc_compile_shared
-    r.Fleet.r_flows_open r.Fleet.r_flows_completed r.Fleet.r_flows_dropped
-    (json_escape r.Fleet.r_fingerprint)
+  let kv_s k v = Printf.sprintf "%S: \"%s\"" k (Fpvm.Stats.json_escape v) in
+  let kv_i k v = Printf.sprintf "%S: %d" k v in
+  let fields =
+    [
+      kv_i "guest" g.Fleet.g_id;
+      kv_s "workload" g.Fleet.g_workload;
+      kv_s "arith" (Fleet.guest_arith g);
+      kv_s "scale" (Fleet.scale_string g.Fleet.g_scale);
+      kv_s "gc"
+        (if g.Fleet.g_config.Fpvm.Engine.incremental_gc then "inc" else "full");
+      kv_i "domain" r.Fleet.r_domain;
+      kv_i "cycles" r.Fleet.r_cycles;
+      kv_i "insns" r.Fleet.r_insns;
+      kv_i "fp_insns" r.Fleet.r_fp_insns;
+      kv_i "output_bytes" (String.length r.Fleet.r_output);
+    ]
+    @ Fpvm.Stats.json_members r.Fleet.r_stats
+    @ [ kv_s "fingerprint" r.Fleet.r_fingerprint ]
+  in
+  "{" ^ String.concat ", " fields ^ "}"
 
 let fleet_json (f : Fleet.fleet_result) =
   let b = Buffer.create 1024 in
@@ -141,7 +129,8 @@ let serve manifest domains batch switch_cost flows verify_solo json quiet =
                        pays on-guest exactly what the fleet guest saw
                        elided into its off-guest bucket *)
                     && solo.Fpvm.Engine.cycles
-                       = r.Fleet.r_cycles + r.Fleet.r_cyc_compile_shared
+                       = r.Fleet.r_cycles
+                         + r.Fleet.r_stats.Fpvm.Stats.cyc_compile_shared
                   in
                   if not ok then begin
                     incr mismatches;
@@ -200,8 +189,7 @@ let flows =
   Arg.(value & flag
        & info [ "flows" ]
            ~doc:"Attach a per-guest FP-exception flight recorder and report \
-                 flows_open/flows_completed/flows_dropped in each guest's \
-                 JSON line. Observation only: fingerprints are unchanged.")
+                 its flows_* gauges in each guest's JSON line. Observation only: fingerprints are unchanged.")
 
 let verify_solo =
   Arg.(value & flag

@@ -1269,14 +1269,15 @@ module Make (A : Arith.S) = struct
       else if st.State.prog.Program.insns.(idx) != insn then S_exit
       else body st
 
+  (* The original instruction under every correctness/patch wrapper. *)
+  let rec unwrap = function
+    | Isa.Correctness_trap i | Isa.Checked i
+    | Isa.Patched { original = i; _ } ->
+        unwrap i
+    | i -> i
+
   let compile_block t (sb : Sb.t) : jit_block =
     let jb_steps = Array.map (compile_step t) sb.Sb.steps in
-    let rec unwrap = function
-      | Isa.Correctness_trap i | Isa.Checked i
-      | Isa.Patched { original = i; _ } ->
-          unwrap i
-      | i -> i
-    in
     let jb_link_check =
       (* Linking absorbs the target head without dispatching it, so the
          same exactly-[invalid] taint proof as a fused step is required
@@ -2046,12 +2047,6 @@ module Make (A : Arith.S) = struct
   let seed_plan (ses : session) idx =
     let insns = ses.prog.Program.insns in
     if idx >= 0 && idx < Array.length insns then begin
-      let rec unwrap = function
-        | Isa.Correctness_trap i | Isa.Checked i
-        | Isa.Patched { original = i; _ } ->
-            unwrap i
-        | i -> i
-      in
       let key = unwrap insns.(idx) in
       match Decoder.decode_insn key with
       | Some d -> Plan.store ses.eng.plans idx key (compile ses.eng idx d)

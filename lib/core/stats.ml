@@ -4,7 +4,9 @@
    cost, (user) delivery cost, decode, bind, emulate, garbage collection,
    correctness-trap overhead and correctness-handler work. GC behavior
    (Figure 10) is tracked as pass-by-pass alive/freed counts and
-   wall-clock latency. *)
+   wall-clock latency. The registry below lists every field once; the
+   fingerprint, the checkpoint tail and every printed form derive from
+   it. *)
 
 type t = {
   mutable fp_traps : int;
@@ -44,12 +46,8 @@ type t = {
   mutable temps_materialized : int;
       (* scratch temps still live at trace exit, promoted to real boxes;
          temps_elided - temps_materialized = arena allocations avoided *)
-  (* trace JIT (guarded IR superblocks). Deterministic for a given
-     config, but — like the telemetry gauges — excluded from the
-     architectural fingerprint: the fingerprint's 42 fields predate the
-     JIT and additive observation/optimization gauges must not churn
-     recorded goldens. The cycle bucket [cyc_jit] *is* part of
-     [total_fpvm_cycles] (it is real modeled work). *)
+  (* trace JIT (guarded IR superblocks). The cycle bucket [cyc_jit] is
+     part of [total_fpvm_cycles] (it is real modeled work). *)
   mutable jit_compiles : int; (* hot traces lowered + compiled *)
   mutable jit_hits : int; (* trap deliveries served by a superblock *)
   mutable jit_links : int;
@@ -95,9 +93,7 @@ type t = {
   mutable replay_checkpoint_bytes : int; (* total serialized checkpoint size *)
   mutable replay_log_bytes : int;
   (* static-analysis gauges (set once at prepare time) and soundness
-     oracle counters. Like the replay_* fields these are excluded from
-     the fingerprint and from checkpoints: the oracle is optional
-     instrumentation and must not perturb determinism comparisons. *)
+     oracle counters *)
   mutable patched_sites : int; (* correctness traps installed by the VSA *)
   mutable patched_sites_boxed : int;
       (* distinct patched sites that ever saw a boxed operand *)
@@ -108,16 +104,10 @@ type t = {
       (* unpatched integer loads that observed a live NaN-boxed word:
          any nonzero value is a soundness violation *)
   (* telemetry gauges (lib/telemetry); written by Telemetry.finalize,
-     never by the engine. Like the oracle and replay_* gauges they are
-     excluded from the fingerprint and from checkpoints: telemetry is
-     optional instrumentation and a run must fingerprint identically
-     with it on or off. *)
+     never by the engine *)
   mutable tel_events : int; (* telemetry events observed *)
   mutable tel_dropped : int; (* ring-buffer events overwritten (drop-oldest) *)
-  (* FP special-value analysis (lib/analysis Fpa tier) gauges. Like the
-     VSA/oracle/telemetry gauges: fingerprint- and checkpoint-excluded —
-     the analysis must not perturb determinism comparisons (outputs are
-     bit-identical with it on or off). *)
+  (* FP special-value analysis (lib/analysis Fpa tier) gauges *)
   mutable fpa_sites_proven : int;
       (* FP sites with a static proof (subnormal-free or birth-free) *)
   mutable fused_unguarded : int;
@@ -133,11 +123,9 @@ type t = {
   mutable fpa_nan_violations : int;
       (* dynamic NaN/Inf birth at a proven birth-free site: any nonzero
          value is a soundness violation (oracle exit 5) *)
-  (* compilation-artifact cache gauges (lib/core Artifact). Like the
-     jit_* gauges these are fingerprint- and checkpoint-excluded: the
-     cache moves compile charges off-guest but never perturbs the
-     architectural counters (warm and cold runs fingerprint
-     identically). *)
+  (* compilation-artifact cache gauges (lib/core Artifact): the cache
+     moves compile charges off-guest but never perturbs the
+     architectural counters *)
   mutable cache_hits : int;
       (* artifact-store claims served by an existing entry (a recipe
          published by another guest, or preloaded from disk) *)
@@ -151,9 +139,7 @@ type t = {
          charged elsewhere (another guest, or a previous run via the
          persistent cache) — the off-guest compile bucket *)
   (* FP-exception flight-recorder gauges (lib/telemetry Flowrec);
-     written by Telemetry.finalize. Like tel_* they are fingerprint-
-     and checkpoint-excluded: the recorder is pure observation and a
-     run must fingerprint identically with it on or off. *)
+     written by Telemetry.finalize *)
   mutable flows_open : int; (* NaN/Inf flows still live at run end *)
   mutable flows_completed : int; (* flows that reached a kill/sink *)
   mutable flows_dropped : int;
@@ -200,26 +186,159 @@ let create () =
     flows_open = 0; flows_completed = 0; flows_dropped = 0;
     flows_real = 0; flows_spurious = 0 }
 
-(* Deterministic counters only: excludes wall-clock GC latency and the
-   recorder's own bookkeeping, so a recorded run, its replay, and a
-   checkpoint-resumed run all fingerprint identically. *)
+(* ---- the registry --------------------------------------------------
+
+   One entry per record field, in checkpoint order. Every output that
+   lists fields is derived from it: [fingerprint], [pp], [json_members]
+   and the checkpoint's stats tail (lib/replay Snapshot). Adding a
+   counter means a record field, its [create] initialiser and one
+   registry line; the registry test fails on a field with no entry.
+
+   [fingerprinted]: part of the architectural identity that a recorded
+   run, its replay and a checkpoint-resumed run must share (the 42
+   fields predate the JIT; the order is the string's format).
+   [checkpointed]: saved in and restored from a checkpoint (the order is
+   the tail's format). Fingerprinted fields are all checkpointed. *)
+
+type value =
+  | Int of (t -> int) * (t -> int -> unit)
+  | Float of (t -> float) * (t -> float -> unit)
+
+type field = {
+  name : string;
+  value : value;
+  fingerprinted : bool;
+  checkpointed : bool;
+}
+
+(* [arch]: fingerprinted and checkpointed; [ckpt]: checkpointed only;
+   [gauge]: neither. *)
+let arch name get set =
+  { name; value = Int (get, set); fingerprinted = true; checkpointed = true }
+
+let ckpt name get set =
+  { name; value = Int (get, set); fingerprinted = false; checkpointed = true }
+
+let gauge name get set =
+  { name; value = Int (get, set); fingerprinted = false; checkpointed = false }
+
+let registry =
+  [
+    arch "fp_traps" (fun t -> t.fp_traps) (fun t v -> t.fp_traps <- v);
+    arch "correctness_traps" (fun t -> t.correctness_traps) (fun t v -> t.correctness_traps <- v);
+    arch "correctness_demotions" (fun t -> t.correctness_demotions) (fun t v -> t.correctness_demotions <- v);
+    arch "patch_invocations" (fun t -> t.patch_invocations) (fun t v -> t.patch_invocations <- v);
+    arch "checked_invocations" (fun t -> t.checked_invocations) (fun t v -> t.checked_invocations <- v);
+    arch "emulated_ops" (fun t -> t.emulated_ops) (fun t v -> t.emulated_ops <- v);
+    arch "emulated_insns" (fun t -> t.emulated_insns) (fun t v -> t.emulated_insns <- v);
+    arch "traces" (fun t -> t.traces) (fun t v -> t.traces <- v);
+    arch "trace_insns" (fun t -> t.trace_insns) (fun t v -> t.trace_insns <- v);
+    arch "traps_avoided" (fun t -> t.traps_avoided) (fun t v -> t.traps_avoided <- v);
+    arch "math_calls" (fun t -> t.math_calls) (fun t v -> t.math_calls <- v);
+    arch "printf_hijacks" (fun t -> t.printf_hijacks) (fun t v -> t.printf_hijacks <- v);
+    arch "serialize_demotions" (fun t -> t.serialize_demotions) (fun t v -> t.serialize_demotions <- v);
+    arch "decode_hits" (fun t -> t.decode_hits) (fun t v -> t.decode_hits <- v);
+    arch "decode_misses" (fun t -> t.decode_misses) (fun t v -> t.decode_misses <- v);
+    arch "cyc_hw" (fun t -> t.cyc_hw) (fun t v -> t.cyc_hw <- v);
+    arch "cyc_kernel" (fun t -> t.cyc_kernel) (fun t v -> t.cyc_kernel <- v);
+    arch "cyc_delivery" (fun t -> t.cyc_delivery) (fun t v -> t.cyc_delivery <- v);
+    arch "cyc_decode" (fun t -> t.cyc_decode) (fun t v -> t.cyc_decode <- v);
+    arch "cyc_bind" (fun t -> t.cyc_bind) (fun t v -> t.cyc_bind <- v);
+    arch "cyc_emulate" (fun t -> t.cyc_emulate) (fun t v -> t.cyc_emulate <- v);
+    arch "cyc_trace" (fun t -> t.cyc_trace) (fun t v -> t.cyc_trace <- v);
+    arch "cyc_gc" (fun t -> t.cyc_gc) (fun t v -> t.cyc_gc <- v);
+    arch "cyc_correctness" (fun t -> t.cyc_correctness) (fun t v -> t.cyc_correctness <- v);
+    arch "cyc_correctness_handler" (fun t -> t.cyc_correctness_handler) (fun t v -> t.cyc_correctness_handler <- v);
+    arch "cyc_patch_checks" (fun t -> t.cyc_patch_checks) (fun t v -> t.cyc_patch_checks <- v);
+    arch "gc_passes" (fun t -> t.gc_passes) (fun t v -> t.gc_passes <- v);
+    arch "gc_full_passes" (fun t -> t.gc_full_passes) (fun t v -> t.gc_full_passes <- v);
+    arch "gc_freed" (fun t -> t.gc_freed) (fun t v -> t.gc_freed <- v);
+    arch "gc_alive_last" (fun t -> t.gc_alive_last) (fun t v -> t.gc_alive_last <- v);
+    arch "gc_words_scanned" (fun t -> t.gc_words_scanned) (fun t v -> t.gc_words_scanned <- v);
+    arch "boxes_allocated" (fun t -> t.boxes_allocated) (fun t v -> t.boxes_allocated <- v);
+    arch "eager_frees" (fun t -> t.eager_frees) (fun t v -> t.eager_frees <- v);
+    ckpt "replay_events" (fun t -> t.replay_events) (fun t v -> t.replay_events <- v);
+    ckpt "replay_checkpoints" (fun t -> t.replay_checkpoints) (fun t v -> t.replay_checkpoints <- v);
+    ckpt "replay_checkpoint_bytes" (fun t -> t.replay_checkpoint_bytes) (fun t v -> t.replay_checkpoint_bytes <- v);
+    ckpt "replay_log_bytes" (fun t -> t.replay_log_bytes) (fun t v -> t.replay_log_bytes <- v);
+    (* appended to the checkpoint tail: v1 demotion split, v2 site
+       specialization, v3 trace JIT *)
+    arch "corr_demote_boxed" (fun t -> t.corr_demote_boxed) (fun t v -> t.corr_demote_boxed <- v);
+    arch "corr_demote_clean" (fun t -> t.corr_demote_clean) (fun t v -> t.corr_demote_clean <- v);
+    arch "plan_hits" (fun t -> t.plan_hits) (fun t v -> t.plan_hits <- v);
+    arch "plan_misses" (fun t -> t.plan_misses) (fun t v -> t.plan_misses <- v);
+    arch "plan_invalidations" (fun t -> t.plan_invalidations) (fun t v -> t.plan_invalidations <- v);
+    arch "temps_elided" (fun t -> t.temps_elided) (fun t v -> t.temps_elided <- v);
+    arch "temps_materialized" (fun t -> t.temps_materialized) (fun t v -> t.temps_materialized <- v);
+    arch "cyc_plan" (fun t -> t.cyc_plan) (fun t v -> t.cyc_plan <- v);
+    arch "cyc_emu_dispatch" (fun t -> t.cyc_emu_dispatch) (fun t v -> t.cyc_emu_dispatch <- v);
+    ckpt "jit_compiles" (fun t -> t.jit_compiles) (fun t v -> t.jit_compiles <- v);
+    ckpt "jit_hits" (fun t -> t.jit_hits) (fun t v -> t.jit_hits <- v);
+    ckpt "jit_links" (fun t -> t.jit_links) (fun t v -> t.jit_links <- v);
+    ckpt "jit_guard_exits" (fun t -> t.jit_guard_exits) (fun t v -> t.jit_guard_exits <- v);
+    ckpt "jit_invalidations" (fun t -> t.jit_invalidations) (fun t v -> t.jit_invalidations <- v);
+    ckpt "cyc_jit" (fun t -> t.cyc_jit) (fun t v -> t.cyc_jit <- v);
+    { name = "gc_latency_s"; fingerprinted = false; checkpointed = true;
+      value = Float ((fun t -> t.gc_latency_s), (fun t v -> t.gc_latency_s <- v)) };
+    (* observation and analysis gauges: neither identity nor state *)
+    gauge "patched_sites" (fun t -> t.patched_sites) (fun t v -> t.patched_sites <- v);
+    gauge "patched_sites_boxed" (fun t -> t.patched_sites_boxed) (fun t v -> t.patched_sites_boxed <- v);
+    gauge "trap_checks_elided" (fun t -> t.trap_checks_elided) (fun t v -> t.trap_checks_elided <- v);
+    gauge "oracle_loads_checked" (fun t -> t.oracle_loads_checked) (fun t v -> t.oracle_loads_checked <- v);
+    gauge "oracle_boxed_loads" (fun t -> t.oracle_boxed_loads) (fun t v -> t.oracle_boxed_loads <- v);
+    gauge "tel_events" (fun t -> t.tel_events) (fun t v -> t.tel_events <- v);
+    gauge "tel_dropped" (fun t -> t.tel_dropped) (fun t v -> t.tel_dropped <- v);
+    gauge "fpa_sites_proven" (fun t -> t.fpa_sites_proven) (fun t v -> t.fpa_sites_proven <- v);
+    gauge "fused_unguarded" (fun t -> t.fused_unguarded) (fun t v -> t.fused_unguarded <- v);
+    gauge "shadow_elided" (fun t -> t.shadow_elided) (fun t v -> t.shadow_elided <- v);
+    gauge "jit_fused_steps" (fun t -> t.jit_fused_steps) (fun t v -> t.jit_fused_steps <- v);
+    gauge "fpa_sub_violations" (fun t -> t.fpa_sub_violations) (fun t v -> t.fpa_sub_violations <- v);
+    gauge "fpa_nan_violations" (fun t -> t.fpa_nan_violations) (fun t v -> t.fpa_nan_violations <- v);
+    gauge "cache_hits" (fun t -> t.cache_hits) (fun t v -> t.cache_hits <- v);
+    gauge "cache_misses" (fun t -> t.cache_misses) (fun t v -> t.cache_misses <- v);
+    gauge "blocks_shared" (fun t -> t.blocks_shared) (fun t v -> t.blocks_shared <- v);
+    gauge "cyc_compile_shared" (fun t -> t.cyc_compile_shared) (fun t v -> t.cyc_compile_shared <- v);
+    gauge "flows_open" (fun t -> t.flows_open) (fun t v -> t.flows_open <- v);
+    gauge "flows_completed" (fun t -> t.flows_completed) (fun t v -> t.flows_completed <- v);
+    gauge "flows_dropped" (fun t -> t.flows_dropped) (fun t v -> t.flows_dropped <- v);
+    gauge "flows_real" (fun t -> t.flows_real) (fun t v -> t.flows_real <- v);
+    gauge "flows_spurious" (fun t -> t.flows_spurious) (fun t v -> t.flows_spurious <- v)
+  ]
+
+let show f t =
+  match f.value with
+  | Int (get, _) -> string_of_int (get t)
+  | Float (get, _) -> Printf.sprintf "%.17g" (get t)
+
+(* Excludes wall-clock GC latency, the recorder's own bookkeeping and
+   every gauge, so a recorded run, its replay, and a checkpoint-resumed
+   run all fingerprint identically. *)
 let fingerprint t =
   String.concat ","
-    (List.map string_of_int
-       [ t.fp_traps; t.correctness_traps; t.correctness_demotions;
-         t.patch_invocations; t.checked_invocations; t.emulated_ops;
-         t.emulated_insns; t.traces; t.trace_insns; t.traps_avoided;
-         t.math_calls; t.printf_hijacks; t.serialize_demotions;
-         t.decode_hits; t.decode_misses; t.cyc_hw; t.cyc_kernel;
-         t.cyc_delivery; t.cyc_decode; t.cyc_bind; t.cyc_emulate;
-         t.cyc_trace; t.cyc_gc; t.cyc_correctness;
-         t.cyc_correctness_handler; t.cyc_patch_checks; t.gc_passes;
-         t.gc_full_passes; t.gc_freed; t.gc_alive_last;
-         t.gc_words_scanned; t.boxes_allocated; t.eager_frees;
-         t.corr_demote_boxed; t.corr_demote_clean;
-         t.plan_hits; t.plan_misses; t.plan_invalidations;
-         t.temps_elided; t.temps_materialized; t.cyc_plan;
-         t.cyc_emu_dispatch ])
+    (List.filter_map
+       (fun f -> if f.fingerprinted then Some (show f t) else None)
+       registry)
+
+(* One ["name": value] JSON member per field, in registry order: the
+   stats part of fpvm_run --json and of each fpvm_serve guest line. *)
+let json_members t =
+  List.map (fun f -> Printf.sprintf "%S: %s" f.name (show f t)) registry
+
+(* A JSON string literal's body: the one escaper the tools share for the
+   string members they print around [json_members]. *)
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 32 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 (* Arena allocations avoided by shadow-temp elision: every elided temp
    skipped a box; those still live at trace exit were boxed after all. *)
@@ -277,39 +396,10 @@ let breakdown t =
     avg_correctness = f t.cyc_correctness;
     avg_correctness_handler = f t.cyc_correctness_handler }
 
-(* One line, every deterministic gauge --json exposes: the satellite fix
-   for the old pp that omitted plan_invalidations, allocs_avoided, the
-   corr_demote_boxed/clean split, and the VSA/oracle gauges. *)
+(* Every registry field as name=value, in registry order, wrapped to
+   the margin. *)
 let pp fmt t =
-  Format.fprintf fmt
-    "traps=%d(avoided %d) traces=%d(mean %.1f) corr=%d(boxed %d/clean %d) emu_insns=%d emu_ops=%d math=%d decode=%d/%d plans=%d/%d(inval %d) temps=%d(-%d, avoided %d) jit=%d/%d/%d(compiles/hits/links, guard_exits %d, inval %d, cyc %d) gc=%d/%d(passes full/total) freed=%d alive=%d scanned=%d boxes=%d vsa=%d/%d(patched/boxed) elided_checks=%d oracle=%d/%d(checked/boxed)"
-    t.fp_traps t.traps_avoided t.traces (mean_trace_len t)
-    t.correctness_traps t.corr_demote_boxed t.corr_demote_clean
-    t.emulated_insns t.emulated_ops
-    t.math_calls t.decode_hits t.decode_misses t.plan_hits t.plan_misses
-    t.plan_invalidations
-    t.temps_elided t.temps_materialized (allocs_avoided t)
-    t.jit_compiles t.jit_hits t.jit_links t.jit_guard_exits
-    t.jit_invalidations t.cyc_jit
-    t.gc_full_passes t.gc_passes
-    t.gc_freed t.gc_alive_last t.gc_words_scanned t.boxes_allocated
-    t.patched_sites t.patched_sites_boxed t.trap_checks_elided
-    t.oracle_loads_checked t.oracle_boxed_loads;
-  if t.fpa_sites_proven > 0 || t.fused_unguarded > 0 || t.shadow_elided > 0
-  then
-    Format.fprintf fmt
-      " fpa=%d(proven) fused_unguarded=%d shadow_elided=%d fused_steps=%d fpa_violations=%d/%d(sub/nan)"
-      t.fpa_sites_proven t.fused_unguarded t.shadow_elided t.jit_fused_steps
-      t.fpa_sub_violations t.fpa_nan_violations;
-  if t.cache_hits > 0 || t.cache_misses > 0 then
-    Format.fprintf fmt
-      " cache=%d/%d(hits/misses) blocks_shared=%d cyc_compile_shared=%d"
-      t.cache_hits t.cache_misses t.blocks_shared t.cyc_compile_shared;
-  if
-    t.flows_open > 0 || t.flows_completed > 0 || t.flows_dropped > 0
-    || t.flows_real > 0 || t.flows_spurious > 0
-  then
-    Format.fprintf fmt
-      " flows=%d/%d/%d(open/completed/dropped) flow_truth=%d/%d(real/spurious)"
-      t.flows_open t.flows_completed t.flows_dropped t.flows_real
-      t.flows_spurious
+  Format.fprintf fmt "@[<hov>%a@]"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun fmt f ->
+         Format.fprintf fmt "%s=%s" f.name (show f t)))
+    registry

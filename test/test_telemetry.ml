@@ -160,6 +160,70 @@ let test_fingerprint_golden () =
   s.Fpvm.Stats.cyc_jit <- 12345;
   check_fp "gauges excluded from fingerprint"
 
+(* ---- the stats registry --------------------------------------------- *)
+
+(* Every field set to a distinct value through its registry setter, then
+   each derived form checked against the registry: a record field with
+   no entry, a checkpoint tail that drops or invents a field, or a JSON
+   renderer that repeats or misses a name all fail here. *)
+let test_registry () =
+  let module S = Fpvm.Stats in
+  let reg = S.registry in
+  Alcotest.(check int) "one registry entry per record field"
+    (Obj.size (Obj.repr (S.create ())))
+    (List.length reg);
+  let value (f : S.field) t =
+    match f.S.value with
+    | S.Int (get, _) -> float_of_int (get t)
+    | S.Float (get, _) -> get t
+  in
+  let distinct i = float_of_int (i + 1) in
+  let s = S.create () in
+  List.iteri
+    (fun i (f : S.field) ->
+      match f.S.value with
+      | S.Int (_, set) -> set s (i + 1)
+      | S.Float (_, set) -> set s (distinct i +. 0.5))
+    reg;
+  let expected i (f : S.field) =
+    match f.S.value with
+    | S.Int _ -> distinct i
+    | S.Float _ -> distinct i +. 0.5
+  in
+  (* checkpoint tail: exactly the checkpointed fields come back *)
+  let b = Buffer.create 1024 in
+  Replay.Snapshot.encode_stats b s;
+  let r = S.create () in
+  let pos = ref 0 in
+  Replay.Snapshot.restore_stats (Buffer.contents b) pos r;
+  Alcotest.(check int) "tail fully read" (Buffer.length b) !pos;
+  List.iteri
+    (fun i (f : S.field) ->
+      Alcotest.(check (float 0.0))
+        (f.S.name ^ " after restore")
+        (if f.S.checkpointed then expected i f else 0.0)
+        (value f r))
+    reg;
+  (* JSON: each name exactly once, with its value *)
+  let members = S.json_members s in
+  Alcotest.(check int) "one JSON member per field" (List.length reg)
+    (List.length members);
+  List.iteri
+    (fun i (f : S.field) ->
+      let key = Printf.sprintf "\"%s\": " f.S.name in
+      match
+        List.filter (fun m -> String.starts_with ~prefix:key m) members
+      with
+      | [ m ] ->
+          let k = String.length key in
+          Alcotest.(check (float 0.0))
+            (f.S.name ^ " JSON value") (expected i f)
+            (float_of_string (String.sub m k (String.length m - k)))
+      | l ->
+          Alcotest.failf "%s appears %d times in the JSON" f.S.name
+            (List.length l))
+    reg
+
 (* ---- breakdown arithmetic ------------------------------------------- *)
 
 let test_breakdown () =
@@ -385,6 +449,8 @@ let () =
     [ ("stats",
        [ Alcotest.test_case "fingerprint golden" `Quick
            test_fingerprint_golden;
+         Alcotest.test_case "registry derives every form" `Quick
+           test_registry;
          Alcotest.test_case "breakdown arithmetic" `Quick test_breakdown ]);
       ("determinism",
        [ Alcotest.test_case "fingerprint on == off" `Slow test_identity ]);
