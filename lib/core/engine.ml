@@ -203,8 +203,6 @@ module Make (A : Arith.S) = struct
         (* per-index FP-tier proofs (Analysis.Fpa): no raw input lane at
            this site can hold a subnormal — the JIT may fuse without the
            runtime subnormal scan; [||] when use_fpa/use_vsa is off *)
-    mutable fpa_born_free : bool array;
-        (* per-index proof that no NaN/Inf can be born at this site *)
     mutable artifacts : (Artifact.t * string) option;
         (* shared compilation-artifact store and this session's key in
            it; None runs storeless (bit- and cycle-identical — the
@@ -231,7 +229,6 @@ module Make (A : Arith.S) = struct
       jit_blocks = Plan.create ();
       jit_rec = None;
       fpa_sub_free = [||];
-      fpa_born_free = [||];
       artifacts = None }
 
   (* ---- boxing ----------------------------------------------------- *)
@@ -651,6 +648,53 @@ module Make (A : Arith.S) = struct
     | Isa.Mem m -> fun st v -> State.store32 st (State.ea st m) v
     | _ -> invalid_arg "plan: f32 operand"
 
+  (* The arithmetic entry point of a binary op; [None] is the unary
+     square root. *)
+  let binop_of (op : Isa.fp_op) =
+    match op with
+    | Isa.FSQRT -> None
+    | Isa.FADD -> Some A.add
+    | Isa.FSUB -> Some A.sub
+    | Isa.FMUL -> Some A.mul
+    | Isa.FDIV -> Some A.div
+    | Isa.FMIN -> Some A.min_v
+    | Isa.FMAX -> Some A.max_v
+
+  (* Report a value consumed at a sink; the payload (and its demotion)
+     is built only when a numerical consumer is installed. *)
+  let num_sink t st index kind bits v =
+    match t.probe.Probe.on_num with
+    | None -> ()
+    | Some f -> f st (Probe.N_sink { index; kind; bits; f64 = A.demote v })
+
+  (* The two compare forms: read both operands, charge, report both as
+     compare sinks, then hand the values to the form's [consume]. *)
+  let compare_plan t idx (d : Decoder.decoded) consume =
+    let ard = rd_lane d.Decoder.dst 0 in
+    let brd = rd_lane d.Decoder.src 0 in
+    { p_exec =
+        (fun ~dispatch st ->
+          let a_bits = ard st in
+          let a = unbox t a_bits in
+          let b_bits = brd st in
+          let b = unbox t b_bits in
+          charge_op t st ~dispatch Arith.C_cmp;
+          num_sink t st idx Probe.S_compare a_bits a;
+          num_sink t st idx Probe.S_compare b_bits b;
+          consume st a b) }
+
+  (* The f64->f32 narrowing and f2i: the shadow value leaves the
+     alternative system through a demoting [write]. *)
+  let demote_plan t idx (d : Decoder.decoded) write =
+    let srd = rd_lane d.Decoder.src 0 in
+    { p_exec =
+        (fun ~dispatch st ->
+          let bits = srd st in
+          let v = unbox t bits in
+          charge_op t st ~dispatch Arith.C_cvt;
+          num_sink t st idx Probe.S_demote bits v;
+          write st v) }
+
   (* Compile the decoded instruction at [idx] into a superop closure.
      Each arm mirrors the unspecialized interpreter arm exactly —
      operand access order, charge points and write strategy — so a run
@@ -661,23 +705,14 @@ module Make (A : Arith.S) = struct
   let compile t idx (d : Decoder.decoded) : plan =
     match d.Decoder.aop with
     | Decoder.A_arith op -> begin
+        let cls = Arith.class_of_fp_op op in
+        let binop = binop_of op in
         match d.Decoder.w with
         | Isa.F64 ->
             let lanes = d.Decoder.lanes in
-            let cls = Arith.class_of_fp_op op in
             let srd = Array.init lanes (fun l -> rd_lane d.Decoder.src l) in
             let drd = Array.init lanes (fun l -> rd_lane d.Decoder.dst l) in
             let dwr = Array.init lanes (fun l -> wr_lane d.Decoder.dst l) in
-            let binop =
-              match op with
-              | Isa.FSQRT -> None
-              | Isa.FADD -> Some A.add
-              | Isa.FSUB -> Some A.sub
-              | Isa.FMUL -> Some A.mul
-              | Isa.FDIV -> Some A.div
-              | Isa.FMIN -> Some A.min_v
-              | Isa.FMAX -> Some A.max_v
-            in
             (* elision candidate: scalar result into an xmm register *)
             let elidable =
               lanes = 1
@@ -716,20 +751,9 @@ module Make (A : Arith.S) = struct
             (* The "float problem": 23 payload bits cannot hold a box,
                so binary32 results are computed in the alternative
                system and immediately demoted to f32 bits. *)
-            let cls = Arith.class_of_fp_op op in
             let srd = rd_f32 d.Decoder.src in
             let drd = rd_f32 d.Decoder.dst in
             let dwr = wr_f32 d.Decoder.dst in
-            let binop =
-              match op with
-              | Isa.FSQRT -> None
-              | Isa.FADD -> Some A.add
-              | Isa.FSUB -> Some A.sub
-              | Isa.FMUL -> Some A.mul
-              | Isa.FDIV -> Some A.div
-              | Isa.FMIN -> Some A.min_v
-              | Isa.FMAX -> Some A.max_v
-            in
             { p_exec =
                 (fun ~dispatch st ->
                   let b = A.of_f32_bits (srd st) in
@@ -742,66 +766,26 @@ module Make (A : Arith.S) = struct
                   dwr st (A.to_f32_bits r)) }
       end
     | Decoder.A_cmp { signaling } ->
-        let ard = rd_lane d.Decoder.dst 0 in
-        let brd = rd_lane d.Decoder.src 0 in
-        { p_exec =
-            (fun ~dispatch st ->
-              let a_bits = ard st in
-              let a = unbox t a_bits in
-              let b_bits = brd st in
-              let b = unbox t b_bits in
-              charge_op t st ~dispatch Arith.C_cmp;
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some f ->
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_compare; bits = a_bits;
-                         f64 = A.demote a });
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_compare; bits = b_bits;
-                         f64 = A.demote b }));
-              set_compare_flags st
-                (if signaling then A.cmp_signaling a b else A.cmp_quiet a b))
-        }
+        compare_plan t idx d (fun st a b ->
+            set_compare_flags st
+              (if signaling then A.cmp_signaling a b else A.cmp_quiet a b))
     | Decoder.A_cmppred pred ->
-        let drd = rd_lane d.Decoder.dst 0 in
-        let srd = rd_lane d.Decoder.src 0 in
         let dwr = wr_lane d.Decoder.dst 0 in
-        { p_exec =
-            (fun ~dispatch st ->
-              let a_bits = drd st in
-              let a = unbox t a_bits in
-              let b_bits = srd st in
-              let b = unbox t b_bits in
-              charge_op t st ~dispatch Arith.C_cmp;
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some f ->
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_compare; bits = a_bits;
-                         f64 = A.demote a });
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_compare; bits = b_bits;
-                         f64 = A.demote b }));
-              let c = A.cmp_quiet a b in
-              let open Ieee754.Softfp in
-              let holds =
-                match (pred, c) with
-                | Isa.EQ, Cmp_eq -> true
-                | Isa.LT, Cmp_lt -> true
-                | Isa.LE, (Cmp_lt | Cmp_eq) -> true
-                | Isa.NEQ, (Cmp_lt | Cmp_gt | Cmp_unordered) -> true
-                | Isa.NLT, (Cmp_gt | Cmp_eq | Cmp_unordered) -> true
-                | Isa.NLE, (Cmp_gt | Cmp_unordered) -> true
-                | Isa.ORD, (Cmp_lt | Cmp_eq | Cmp_gt) -> true
-                | Isa.UNORD, Cmp_unordered -> true
-                | _ -> false
-              in
-              dwr st (if holds then -1L else 0L)) }
+        compare_plan t idx d (fun st a b ->
+            let open Ieee754.Softfp in
+            let holds =
+              match (pred, A.cmp_quiet a b) with
+              | Isa.EQ, Cmp_eq -> true
+              | Isa.LT, Cmp_lt -> true
+              | Isa.LE, (Cmp_lt | Cmp_eq) -> true
+              | Isa.NEQ, (Cmp_lt | Cmp_gt | Cmp_unordered) -> true
+              | Isa.NLT, (Cmp_gt | Cmp_eq | Cmp_unordered) -> true
+              | Isa.NLE, (Cmp_gt | Cmp_unordered) -> true
+              | Isa.ORD, (Cmp_lt | Cmp_eq | Cmp_gt) -> true
+              | Isa.UNORD, Cmp_unordered -> true
+              | _ -> false
+            in
+            dwr st (if holds then -1L else 0L))
     | Decoder.A_round imm ->
         let srd = rd_lane d.Decoder.src 0 in
         let dwr = wr_lane d.Decoder.dst 0 in
@@ -817,22 +801,8 @@ module Make (A : Arith.S) = struct
               charge_op t st ~dispatch Arith.C_cvt;
               dwr st (box t (A.round_int mode (unbox t (srd st))))) }
     | Decoder.A_f2f Isa.F64 ->
-        (* narrow: demote to f32 bits *)
-        let srd = rd_lane d.Decoder.src 0 in
         let dwr = wr_f32 d.Decoder.dst in
-        { p_exec =
-            (fun ~dispatch st ->
-              charge_op t st ~dispatch Arith.C_cvt;
-              let bits = srd st in
-              let v = unbox t bits in
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some f ->
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_demote; bits;
-                         f64 = A.demote v }));
-              dwr st (A.to_f32_bits v)) }
+        demote_plan t idx d (fun st v -> dwr st (A.to_f32_bits v))
     | Decoder.A_f2f Isa.F32 ->
         let srd = rd_f32 d.Decoder.src in
         let dwr = wr_lane d.Decoder.dst 0 in
@@ -841,7 +811,6 @@ module Make (A : Arith.S) = struct
               charge_op t st ~dispatch Arith.C_cvt;
               dwr st (box t (A.of_f32_bits (srd st)))) }
     | Decoder.A_f2i { truncate; size } ->
-        let srd = rd_lane d.Decoder.src 0 in
         let dwr =
           match d.Decoder.dst with
           | Isa.Reg r -> fun st bits -> State.set_gpr st r bits
@@ -849,26 +818,13 @@ module Make (A : Arith.S) = struct
               fun st bits -> State.store_size st size (State.ea st m) bits
           | _ -> invalid_arg "f2i dst"
         in
-        { p_exec =
-            (fun ~dispatch st ->
-              let src_bits = srd st in
-              let v = unbox t src_bits in
-              let mode =
-                if truncate then Ieee754.Softfp.Toward_zero else rounding_of st
-              in
-              charge_op t st ~dispatch Arith.C_cvt;
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some f ->
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_demote; bits = src_bits;
-                         f64 = A.demote v }));
-              let bits =
-                if size = 8 then A.to_i64 mode v
-                else Int64.of_int32 (A.to_i32 mode v)
-              in
-              dwr st bits) }
+        demote_plan t idx d (fun st v ->
+            let mode =
+              if truncate then Ieee754.Softfp.Toward_zero else rounding_of st
+            in
+            dwr st
+              (if size = 8 then A.to_i64 mode v
+               else Int64.of_int32 (A.to_i32 mode v)))
     | Decoder.A_i2f { size } ->
         let srd =
           match d.Decoder.src with
@@ -887,6 +843,33 @@ module Make (A : Arith.S) = struct
               charge_op t st ~dispatch Arith.C_cvt;
               dwr st (box t (A.of_i64 iv))) }
 
+  (* ---- the emulation envelope (paper section 4) ---------------------- *)
+
+  (* Every emulation — a site's plan on any tier, or a math-wrapper
+     call — ends here: report the visit's charges, count it toward the
+     GC cadence, resume at [resume], and collect if due. The tiers
+     differ only in what they charged before the plan ran (see
+     [emulate] and [emulate_fused]). *)
+  let finish_emulation t st ~index ~resume c0 e0 =
+    (match t.probe.Probe.on_tel with
+    | None -> ()
+    | Some f ->
+        f st
+          (Probe.T_emulate
+             { index; cycles = st.State.cycles - c0;
+               elided = t.stats.Stats.temps_elided - e0 }));
+    t.since_gc <- t.since_gc + 1;
+    st.State.rip <- resume;
+    maybe_gc t st
+
+  (* Run a site's plan at the given residual dispatch charge and close
+     the envelope; [c0]/[e0] are the cycle and elision counts before
+     the tier's own charges. *)
+  let run_plan t st idx (p : plan) ~dispatch c0 e0 =
+    p.p_exec ~dispatch st;
+    t.stats.Stats.emulated_insns <- t.stats.Stats.emulated_insns + 1;
+    finish_emulation t st ~index:idx ~resume:(idx + 1) c0 e0
+
   (* Emulate the instruction at [idx] with the alternative arithmetic,
      writing NaN-boxed results, and advance RIP. This is the core of
      trap-and-emulate. With plans enabled the fast path is a plan-table
@@ -900,60 +883,43 @@ module Make (A : Arith.S) = struct
     let s = t.stats in
     let c0 = st.State.cycles in
     let e0 = s.Stats.temps_elided in
-    let interpret () =
-      (* decode (with cache) + bind, as in the classic engine *)
-      let d, hit = Decoder.decode t.cache idx insn in
-      let dc = if hit then cost.CM.decode_hit else cost.CM.decode_miss in
-      State.add_cycles st dc;
-      s.Stats.cyc_decode <- s.Stats.cyc_decode + dc;
-      State.add_cycles st cost.CM.bind;
-      s.Stats.cyc_bind <- s.Stats.cyc_bind + cost.CM.bind;
-      d
-    in
-    (if t.config.use_plans then
-       match Plan.find t.plans idx insn with
-       | Some p ->
-           s.Stats.plan_hits <- s.Stats.plan_hits + 1;
-           State.add_cycles st cost.CM.plan_hit;
-           s.Stats.cyc_plan <- s.Stats.cyc_plan + cost.CM.plan_hit;
-           (match t.probe.Probe.on_tel with
-           | None -> ()
-           | Some f -> f st (Probe.T_plan_hit { index = idx }));
-           p.p_exec ~dispatch:0 st
-       | None ->
-           let d = interpret () in
-           let p = compile t idx d in
-           Plan.store t.plans idx insn p;
-           (* plan recipes ride in the artifact store for gauge
-              accounting only: plan gauges are part of the architectural
-              fingerprint, so their charges stay on-guest either way *)
-           (match t.artifacts with
-           | None -> ()
-           | Some (store, key) ->
-               if Artifact.claim_plan store ~key ~site:idx then
-                 s.Stats.cache_hits <- s.Stats.cache_hits + 1
-               else s.Stats.cache_misses <- s.Stats.cache_misses + 1);
-           s.Stats.plan_misses <- s.Stats.plan_misses + 1;
-           State.add_cycles st cost.CM.plan_compile;
-           s.Stats.cyc_plan <- s.Stats.cyc_plan + cost.CM.plan_compile;
-           (match t.probe.Probe.on_tel with
-           | None -> ()
-           | Some f -> f st (Probe.T_plan_miss { index = idx }));
-           p.p_exec ~dispatch:cost.CM.emu_dispatch st
-     else
-       let d = interpret () in
-       (compile t idx d).p_exec ~dispatch:cost.CM.emu_dispatch st);
-    s.Stats.emulated_insns <- s.Stats.emulated_insns + 1;
-    (match t.probe.Probe.on_tel with
-    | None -> ()
-    | Some f ->
-        f st
-          (Probe.T_emulate
-             { index = idx; cycles = st.State.cycles - c0;
-               elided = s.Stats.temps_elided - e0 }));
-    t.since_gc <- t.since_gc + 1;
-    st.State.rip <- idx + 1;
-    maybe_gc t st
+    match if t.config.use_plans then Plan.find t.plans idx insn else None with
+    | Some p ->
+        s.Stats.plan_hits <- s.Stats.plan_hits + 1;
+        State.add_cycles st cost.CM.plan_hit;
+        s.Stats.cyc_plan <- s.Stats.cyc_plan + cost.CM.plan_hit;
+        (match t.probe.Probe.on_tel with
+        | None -> ()
+        | Some f -> f st (Probe.T_plan_hit { index = idx }));
+        run_plan t st idx p ~dispatch:0 c0 e0
+    | None ->
+        (* decode (with cache) + bind, as in the classic engine *)
+        let d, hit = Decoder.decode t.cache idx insn in
+        let dc = if hit then cost.CM.decode_hit else cost.CM.decode_miss in
+        State.add_cycles st dc;
+        s.Stats.cyc_decode <- s.Stats.cyc_decode + dc;
+        State.add_cycles st cost.CM.bind;
+        s.Stats.cyc_bind <- s.Stats.cyc_bind + cost.CM.bind;
+        let p = compile t idx d in
+        if t.config.use_plans then begin
+          Plan.store t.plans idx insn p;
+          (* plan recipes ride in the artifact store for gauge
+             accounting only: plan gauges are part of the architectural
+             fingerprint, so their charges stay on-guest either way *)
+          (match t.artifacts with
+          | None -> ()
+          | Some (store, key) ->
+              if Artifact.claim_plan store ~key ~site:idx then
+                s.Stats.cache_hits <- s.Stats.cache_hits + 1
+              else s.Stats.cache_misses <- s.Stats.cache_misses + 1);
+          s.Stats.plan_misses <- s.Stats.plan_misses + 1;
+          State.add_cycles st cost.CM.plan_compile;
+          s.Stats.cyc_plan <- s.Stats.cyc_plan + cost.CM.plan_compile;
+          match t.probe.Probe.on_tel with
+          | None -> ()
+          | Some f -> f st (Probe.T_plan_miss { index = idx })
+        end;
+        run_plan t st idx p ~dispatch:cost.CM.emu_dispatch c0 e0
 
   (* The absorb bookkeeping shared by the interpretive trace loop and
      the compiled superblock paths: one in-window trap-worthy event
@@ -979,30 +945,17 @@ module Make (A : Arith.S) = struct
      compilation fused away. Machine-state effects (the plan closure,
      GC cadence) are bit-identical to the interpretive path.
 
-     The taint guard proved native dispatch would raise exactly
-     [invalid] here (a signaling-NaN input, no subnormal co-operand,
-     scalar), so the absorbed event carries those flags without the
-     dispatch ever running; the elided dispatch would also have counted
-     the FP instruction. *)
-  let emulate_fused t st idx (p : plan) =
+     The step's guard proved the fault native dispatch would raise here
+     carries exactly [flags] ([invalid] for a taint-guarded step,
+     [inexact] for a folded constant), so the absorbed event carries
+     them without the dispatch ever running; the elided dispatch would
+     also have counted the FP instruction. *)
+  let emulate_fused t st idx (p : plan) flags =
     let s = t.stats in
     s.Stats.jit_fused_steps <- s.Stats.jit_fused_steps + 1;
     st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-    absorb_event t st idx F.invalid;
-    let c0 = st.State.cycles in
-    let e0 = s.Stats.temps_elided in
-    p.p_exec ~dispatch:0 st;
-    s.Stats.emulated_insns <- s.Stats.emulated_insns + 1;
-    (match t.probe.Probe.on_tel with
-    | None -> ()
-    | Some f ->
-        f st
-          (Probe.T_emulate
-             { index = idx; cycles = st.State.cycles - c0;
-               elided = s.Stats.temps_elided - e0 }));
-    t.since_gc <- t.since_gc + 1;
-    st.State.rip <- idx + 1;
-    maybe_gc t st
+    absorb_event t st idx flags;
+    run_plan t st idx p ~dispatch:0 st.State.cycles s.Stats.temps_elided
 
   (* ---- sequence (trace) emulation ------------------------------------- *)
 
@@ -1068,49 +1021,36 @@ module Make (A : Arith.S) = struct
 
   (* ---- software checks (patch handlers / static-transform stubs) ---- *)
 
-  (* Does this operand currently hold a NaN-boxed (or foreign-sNaN)
-     value in any lane? *)
-  let operand_boxed _t st (o : Isa.operand) lanes =
-    match o with
-    | Isa.Imm _ | Isa.Reg _ -> false
-    | Isa.Xmm _ | Isa.Mem _ ->
-        let rec chk lane =
-          if lane >= lanes then false
-          else begin
-            let bits = read_loc st (bind_lane st o lane) in
-            Nanbox.is_boxed bits
-            || Nanbox.is_foreign_snan bits
-            || chk (lane + 1)
-          end
-        in
-        chk 0
+  (* The one lane scan: does some lane, of the first [lanes], of some
+     xmm/memory operand in [inputs] hold bits satisfying [p]? *)
+  let rec lanes_any p st (o : Isa.operand) l lanes =
+    l < lanes
+    && (p (read_loc st (bind_lane st o l)) || lanes_any p st o (l + 1) lanes)
 
-  (* Does this operand hold a subnormal binary64 in any lane? The
-     softfloat layer raises the denormal-operand flag for these, so a
-     fused step — which promises the fault flags are exactly [invalid]
-     — must side-exit when one appears. *)
-  let operand_subnormal st (o : Isa.operand) lanes =
-    match o with
-    | Isa.Imm _ | Isa.Reg _ -> false
-    | Isa.Xmm _ | Isa.Mem _ ->
-        let rec chk lane =
-          if lane >= lanes then false
-          else begin
-            let bits = read_loc st (bind_lane st o lane) in
-            (Int64.logand bits 0x7FF0_0000_0000_0000L = 0L
-            && Int64.logand bits 0xF_FFFF_FFFF_FFFFL <> 0L)
-            || chk (lane + 1)
-          end
-        in
-        chk 0
+  let rec inputs_any p st (inputs : Isa.operand list) lanes =
+    match inputs with
+    | [] -> false
+    | ((Isa.Xmm _ | Isa.Mem _) as o) :: rest ->
+        lanes_any p st o 0 lanes || inputs_any p st rest lanes
+    | _ :: rest -> inputs_any p st rest lanes
+
+  (* A NaN-boxed or foreign signaling NaN: native dispatch faults on it. *)
+  let snan_bits bits = Nanbox.is_boxed bits || Nanbox.is_foreign_snan bits
+
+  (* A subnormal binary64: the softfloat layer raises the
+     denormal-operand flag for these, so a fused step — which promises
+     the fault flags are exactly [invalid] — must side-exit on one. *)
+  let subnormal_bits bits =
+    Int64.logand bits 0x7FF0_0000_0000_0000L = 0L
+    && Int64.logand bits 0xF_FFFF_FFFF_FFFFL <> 0L
 
   (* The fused-emulation taint predicate: some FP input is a signaling
-     NaN (a box or a foreign sNaN — native dispatch is then guaranteed
-     to fault) and none is subnormal (so the fault's flag set is
-     exactly [invalid], which the absorbed event must reproduce). *)
-  let inputs_fusable t st inputs lanes =
-    List.exists (fun o -> operand_boxed t st o lanes) inputs
-    && not (List.exists (fun o -> operand_subnormal st o lanes) inputs)
+     NaN (native dispatch is then guaranteed to fault) and none is
+     subnormal (so the fault's flag set is exactly [invalid], which the
+     absorbed event must reproduce). *)
+  let inputs_fusable st inputs lanes =
+    inputs_any snan_bits st inputs lanes
+    && not (inputs_any subnormal_bits st inputs lanes)
 
   (* Did the static FP tier prove that no raw input lane at this site
      can hold a subnormal? Then the fused path's runtime subnormal scan
@@ -1138,28 +1078,34 @@ module Make (A : Arith.S) = struct
     let idx = s.Sb.s_index in
     let insn = s.Sb.s_insn in
     let rip_guard = s.Sb.s_rip_guard in
-    let fire_on_step st =
-      match st.State.hooks.State.on_step with
-      | Some h -> h st idx insn
-      | None -> ()
-    in
-    (* the generic step: native dispatch with in-place absorption, as
-       in the interpretive loop *)
-    let native st =
+    (* The one step entry: residency charge, temp guard and observation
+       hook, then either the fused arm — [Some (plan, flags)], resolved
+       at block-compile time — or native dispatch with in-place
+       absorption, as in the interpretive loop. *)
+    let run st fused =
       jit_step_charge t st;
       guard_native t st insn;
-      fire_on_step st;
-      match Cpu.dispatch st idx insn with
-      | Cpu.Running -> S_ok
-      | Cpu.Halted -> S_stop
-      | Cpu.Fp_fault { events; _ } ->
-          absorb_and_emulate t st idx insn events;
+      (match st.State.hooks.State.on_step with
+      | Some h -> h st idx insn
+      | None -> ());
+      match fused with
+      | Some (p, flags) ->
+          emulate_fused t st idx p flags;
           S_ok
-      | Cpu.Correctness_fault _ ->
-          (* a correctness trap can only appear here through a rewrite
-             the shape guard should have caught; bail defensively *)
-          S_exit
+      | None -> (
+          match Cpu.dispatch st idx insn with
+          | Cpu.Running -> S_ok
+          | Cpu.Halted -> S_stop
+          | Cpu.Fp_fault { events; _ } ->
+              absorb_and_emulate t st idx insn events;
+              S_ok
+          | Cpu.Correctness_fault _ ->
+              (* a correctness trap can only appear here through a
+                 rewrite the shape guard should have caught; bail
+                 defensively *)
+              S_exit)
     in
+    let native st = run st None in
     let body : State.t -> step_res =
       match s.Sb.s_action with
       | Sb.A_native -> native
@@ -1173,16 +1119,19 @@ module Make (A : Arith.S) = struct
              absorbed event exactly. *)
           match Plan.find t.plans idx insn with
           | Some p when lanes = 1 || (lanes = 2 && fpa_sub_free t idx) ->
+              let fused = Some (p, F.invalid) in
               if fpa_sub_free t idx then
                 (* The FP tier proved no input lane can be subnormal, so
                    the runtime subnormal half of the taint guard is
                    discharged statically: a boxed input alone guarantees
                    the fault flags are exactly [invalid]. The proof also
                    admits packed steps, whose two-lane scan was the
-                   reason they stayed native. *)
+                   reason they stayed native. Clean raw inputs run
+                   native: only the real dispatch knows the fault's flag
+                   set, but the proof keeps the step inside the
+                   superblock instead of side-exiting. *)
                 fun st ->
-                  if List.exists (fun o -> operand_boxed t st o lanes) inputs
-                  then begin
+                  if inputs_any snan_bits st inputs lanes then begin
                     t.stats.Stats.fused_unguarded <-
                       t.stats.Stats.fused_unguarded + 1;
                     (* soundness oracle: run the elided scan anyway,
@@ -1190,77 +1139,44 @@ module Make (A : Arith.S) = struct
                        declared impossible (observation only) *)
                     if
                       t.config.oracle
-                      && List.exists
-                           (fun o -> operand_subnormal st o lanes)
-                           inputs
+                      && inputs_any subnormal_bits st inputs lanes
                     then
                       t.stats.Stats.fpa_sub_violations <-
                         t.stats.Stats.fpa_sub_violations + 1;
-                    jit_step_charge t st;
-                    guard_native t st insn;
-                    fire_on_step st;
-                    emulate_fused t st idx p;
-                    S_ok
+                    run st fused
                   end
-                  else
-                    (* clean raw inputs: only the real dispatch knows the
-                       fault's flag set, but the proof lets the step stay
-                       inside the superblock instead of side-exiting *)
-                    native st
+                  else native st
               else
+                (* taint guard holds: a boxed (signaling-NaN) input
+                   guarantees native dispatch faults with exactly
+                   [invalid], so emulating directly is bit-identical —
+                   minus the dispatch; otherwise the interpreter
+                   decides *)
                 fun st ->
-                  if inputs_fusable t st inputs lanes then begin
-                    (* taint guard holds: a boxed (signaling-NaN) input
-                       guarantees native dispatch faults with exactly
-                       [invalid], so emulating directly is bit-identical
-                       — minus the dispatch *)
-                    jit_step_charge t st;
-                    guard_native t st insn;
-                    fire_on_step st;
-                    emulate_fused t st idx p;
-                    S_ok
-                  end
-                  else S_exit (* taint guard failed: interpreter decides *)
+                  if inputs_fusable st inputs lanes then run st fused
+                  else S_exit
           | _ -> native
         end
       | Sb.A_fold_i2f { imm; size } -> begin
+          (* folded: the absorbed conversion of an immediate is a
+             constant plan — box a fresh copy, no bind, no dispatch, no
+             op charge. The recording absorbed this step and an
+             immediate source is deterministic, so it faults every
+             visit; int-to-float of a nonzero immediate can only raise
+             [inexact] (no invalid/overflow/underflow/denormal is
+             reachable), so that is the absorbed event's flag set. *)
           match Decoder.decode_insn insn with
           | Some d ->
               let dwr = wr_lane d.Decoder.dst 0 in
               let iv =
                 if size = 4 then Int64.of_int32 (Int64.to_int32 imm) else imm
               in
-              fun st ->
-                jit_step_charge t st;
-                guard_native t st insn;
-                fire_on_step st;
-                (* folded: the absorbed conversion of an immediate is a
-                   constant — box a fresh copy, no bind, no dispatch.
-                   The recording absorbed this step and an immediate
-                   source is deterministic, so it faults every visit;
-                   int-to-float of a nonzero immediate can only raise
-                   [inexact] (no invalid/overflow/underflow/denormal is
-                   reachable), so that is the absorbed event's flag
-                   set. *)
-                t.stats.Stats.jit_fused_steps <-
-                  t.stats.Stats.jit_fused_steps + 1;
-                st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-                absorb_event t st idx F.inexact;
-                let c0 = st.State.cycles in
-                dwr st (box t (A.of_i64 iv));
-                t.stats.Stats.emulated_insns <-
-                  t.stats.Stats.emulated_insns + 1;
-                (match t.probe.Probe.on_tel with
-                | None -> ()
-                | Some f ->
-                    f st
-                      (Probe.T_emulate
-                         { index = idx; cycles = st.State.cycles - c0;
-                           elided = 0 }));
-                t.since_gc <- t.since_gc + 1;
-                st.State.rip <- idx + 1;
-                maybe_gc t st;
-                S_ok
+              let fold =
+                { p_exec =
+                    (fun ~dispatch:_ st -> dwr st (box t (A.of_i64 iv))) }
+              in
+              let fused = Some (fold, F.inexact) in
+              fun st -> run st fused
           | None -> native
         end
     in
@@ -1284,7 +1200,7 @@ module Make (A : Arith.S) = struct
          — scalar head, boxed input, no subnormal input. *)
       match Sb.fp_inputs (unwrap sb.Sb.head_insn) with
       | Some (inputs, lanes) when lanes = 1 ->
-          fun st -> inputs_fusable t st inputs lanes
+          fun st -> inputs_fusable st inputs lanes
       | _ -> fun _ -> false
     in
     { jb_sb = sb; jb_steps; jb_link_check }
@@ -1447,8 +1363,8 @@ module Make (A : Arith.S) = struct
     | Some d ->
         let pre_fail =
           t.config.always_emulate
-          || operand_boxed t st d.Decoder.src d.Decoder.lanes
-          || operand_boxed t st d.Decoder.dst d.Decoder.lanes
+          || inputs_any snan_bits st [ d.Decoder.src; d.Decoder.dst ]
+               d.Decoder.lanes
         in
         if pre_fail then emulate t st idx insn
         else begin
@@ -1590,107 +1506,69 @@ module Make (A : Arith.S) = struct
 
   let on_ext_call t st (fn : Isa.ext_fn) : bool =
     match math_ext fn with
-    | `Unary f ->
+    | (`Unary _ | `Binary _) as m ->
         (* The math wrapper: emulate libm in the alternative system so
-           boxed arguments work and precision carries through. *)
+           boxed arguments work and precision carries through. A unary
+           function reports its operand as both [a] and [b]. *)
         t.stats.Stats.math_calls <- t.stats.Stats.math_calls + 1;
         let c0 = st.State.cycles in
+        let e0 = t.stats.Stats.temps_elided in
         charge_emu t st Arith.C_libm;
         let a_bits = State.get_xmm st 0 0 in
-        let v0 = unbox t a_bits in
-        let v = f v0 in
-        let rbits = box t v in
-        State.set_xmm st 0 0 rbits;
-        State.set_xmm st 0 1 0L;
-        (match t.probe.Probe.on_num with
-        | None -> ()
-        | Some g ->
-            let img = A.demote v0 in
-            g st
-              (Probe.N_ext
-                 { index = st.State.rip; fn; a_bits; b_bits = a_bits;
-                   r_bits = rbits; a = img; b = img; r = A.demote v }));
-        (match t.probe.Probe.on_tel with
-        | None -> ()
-        | Some g ->
-            g st
-              (Probe.T_emulate
-                 { index = st.State.rip; cycles = st.State.cycles - c0;
-                   elided = 0 }));
-        t.since_gc <- t.since_gc + 1;
-        maybe_gc t st;
-        true
-    | `Binary f ->
-        t.stats.Stats.math_calls <- t.stats.Stats.math_calls + 1;
-        let c0 = st.State.cycles in
-        charge_emu t st Arith.C_libm;
-        let a_bits = State.get_xmm st 0 0 in
-        let b_bits = State.get_xmm st 1 0 in
         let va = unbox t a_bits in
-        let vb = unbox t b_bits in
-        let v = f va vb in
+        let b_bits, vb, v =
+          match m with
+          | `Unary f -> (a_bits, va, f va)
+          | `Binary f ->
+              let b_bits = State.get_xmm st 1 0 in
+              let vb = unbox t b_bits in
+              (b_bits, vb, f va vb)
+        in
         let rbits = box t v in
         State.set_xmm st 0 0 rbits;
         State.set_xmm st 0 1 0L;
         (match t.probe.Probe.on_num with
         | None -> ()
         | Some g ->
+            let a = A.demote va in
+            let b = match m with `Unary _ -> a | `Binary _ -> A.demote vb in
             g st
               (Probe.N_ext
                  { index = st.State.rip; fn; a_bits; b_bits; r_bits = rbits;
-                   a = A.demote va; b = A.demote vb; r = A.demote v }));
-        (match t.probe.Probe.on_tel with
-        | None -> ()
-        | Some g ->
-            g st
-              (Probe.T_emulate
-                 { index = st.State.rip; cycles = st.State.cycles - c0;
-                   elided = 0 }));
-        t.since_gc <- t.since_gc + 1;
-        maybe_gc t st;
+                   a; b; r = A.demote v }));
+        finish_emulation t st ~index:st.State.rip ~resume:st.State.rip c0 e0;
         true
-    | `Other -> begin
+    | `Other -> (
         match fn with
-        | Isa.Print_f64 ->
-            (* The printing problem: hijack printf and demote/print the
-               shadow value. *)
+        | Isa.Print_f64 | Isa.Write_f64 ->
+            (* The printing problem (hijack printf) and the serialization
+               problem: demote the shadow value at the boundary. *)
             let bits = State.get_xmm st 0 0 in
+            let print = match fn with Isa.Print_f64 -> true | _ -> false in
             if Nanbox.is_boxed bits then begin
-              t.stats.Stats.printf_hijacks <- t.stats.Stats.printf_hijacks + 1;
-              let v = unbox t bits in
-              let d = A.demote v in
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some g ->
-                  g st
-                    (Probe.N_sink
-                       { index = st.State.rip; kind = Probe.S_print; bits;
-                         f64 = d }));
-              Buffer.add_string st.State.out
-                (Printf.sprintf "%.17g\n" (Int64.float_of_bits d));
-              true
-            end
-            else false
-        | Isa.Write_f64 ->
-            (* The serialization problem: demote at the boundary. *)
-            let bits = State.get_xmm st 0 0 in
-            if Nanbox.is_boxed bits then begin
-              t.stats.Stats.serialize_demotions <-
-                t.stats.Stats.serialize_demotions + 1;
+              if print then
+                t.stats.Stats.printf_hijacks <- t.stats.Stats.printf_hijacks + 1
+              else
+                t.stats.Stats.serialize_demotions <-
+                  t.stats.Stats.serialize_demotions + 1;
               let d = A.demote (unbox t bits) in
               (match t.probe.Probe.on_num with
               | None -> ()
               | Some g ->
+                  let kind =
+                    if print then Probe.S_print else Probe.S_serialize
+                  in
                   g st
                     (Probe.N_sink
-                       { index = st.State.rip; kind = Probe.S_serialize; bits;
-                         f64 = d }));
-              Buffer.add_int64_le st.State.serialized d;
+                       { index = st.State.rip; kind; bits; f64 = d }));
+              if print then
+                Buffer.add_string st.State.out
+                  (Printf.sprintf "%.17g\n" (Int64.float_of_bits d))
+              else Buffer.add_int64_le st.State.serialized d;
               true
             end
             else false
-        | _ -> false
-      end
+        | _ -> false)
 
   (* ---- run -------------------------------------------------------------- *)
 
@@ -1706,6 +1584,13 @@ module Make (A : Arith.S) = struct
     kern : Trapkern.t;
     prog : Program.t;
   }
+
+  (* Recompute the no-escape facts over the (possibly patched) program;
+     all-false when plans are disabled. *)
+  let set_elide t insns =
+    t.elide <-
+      (if t.config.use_plans then Analysis.Escape.no_escape insns
+       else Array.make (Array.length insns) false)
 
   let prepare ?(config = default_config) ?facts ?artifacts (prog : Program.t)
       : session =
@@ -1727,7 +1612,6 @@ module Make (A : Arith.S) = struct
       if config.use_fpa then begin
         let n = Array.length prog.Program.insns in
         t.fpa_sub_free <- Analysis.Fpa.sub_free_array a.Vsa.fpa n;
-        t.fpa_born_free <- Analysis.Fpa.born_free_array a.Vsa.fpa n;
         t.stats.Stats.fpa_sites_proven <- a.Vsa.fpa.Analysis.Fpa.proven
       end
     in
@@ -1780,9 +1664,7 @@ module Make (A : Arith.S) = struct
     (* No-escape facts for shadow-temp elision, over the same patched
        program; the scratch buffer can never need more slots than the
        trace budget (at most one temp per emulated instruction). *)
-    t.elide <-
-      (if config.use_plans then Analysis.Escape.no_escape prog.Program.insns
-       else Array.make (Array.length prog.Program.insns) false);
+    set_elide t prog.Program.insns;
     t.scratch <- Array.make (max 1 config.max_trace_len) None;
     let st = State.create ~cost:config.cost prog in
     if config.incremental_gc then State.set_write_tracking st true;
@@ -1932,8 +1814,7 @@ module Make (A : Arith.S) = struct
                 | None -> ()
                 | Some (store, key) ->
                     ignore (Artifact.invalidate_site store ~key ~site:idx));
-                if config.use_plans then
-                  t.elide <- Analysis.Escape.no_escape prog.Program.insns)
+                set_elide t prog.Program.insns)
         | Trap_and_emulate | Static_transform -> ());
         let insn =
           match prog.Program.insns.(idx) with
@@ -2034,10 +1915,7 @@ module Make (A : Arith.S) = struct
   let refresh_trace_hints (ses : session) =
     ses.eng.trace_hints <-
       Analysis.Traceability.run_lengths ses.prog.Program.insns;
-    ses.eng.elide <-
-      (if ses.eng.config.use_plans then
-         Analysis.Escape.no_escape ses.prog.Program.insns
-       else Array.make (Array.length ses.prog.Program.insns) false)
+    set_elide ses.eng ses.prog.Program.insns
 
   (* Recompile the plan for one site, silently (no charges, no counter
      movement): checkpoint restore reseeds the plan table from the

@@ -188,8 +188,6 @@ module Make (A : Arith.S) : sig
             lane at this site can hold a subnormal, so the JIT's fused
             path skips the runtime subnormal scan; [[||]] when
             [use_fpa] or [use_vsa] is off *)
-    mutable fpa_born_free : bool array;
-        (** per-index proof that no NaN/Inf can be born at this site *)
     mutable artifacts : (Artifact.t * string) option;
         (** the shared compilation-artifact store and this session's key
             in it ({!Artifact.session_key}); [None] runs the engine

@@ -17,16 +17,18 @@ module W = Workloads
 
 let scale = W.Test
 
-let cfg ?(use_plans = true) ?(incremental_gc = true)
+let cfg ?(use_plans = true) ?(use_jit = true) ?(incremental_gc = true)
     ?(approach = Fpvm.Engine.Trap_and_emulate) ?(trace_len = 16) () =
   { Fpvm.Engine.default_config with
-    Fpvm.Engine.approach; use_plans; incremental_gc;
+    Fpvm.Engine.approach; use_plans; use_jit; incremental_gc;
     Fpvm.Engine.max_trace_len = trace_len }
 
-let lorenz () =
-  match W.find "lorenz" with
+let workload name =
+  match W.find name with
   | Some e -> e.W.program scale
-  | None -> failwith "no lorenz workload"
+  | None -> failwith ("no workload " ^ name)
+
+let lorenz () = workload "lorenz"
 
 (* Run a program on port [A], optionally with collectors attached.
    Returns (stats, telemetry). *)
@@ -290,20 +292,40 @@ let test_identity () =
 
 (* ---- profile reconciliation ------------------------------------------ *)
 
+(* Every tier closes one emulation envelope, which reports each
+   emulation (site plans and math calls alike) exactly once: the
+   per-site counts sum to the engine's totals on every tier. *)
 let test_profile_exact () =
-  let prog = lorenz () in
   List.iter
-    (fun (name, config) ->
-      let s, tel = R_mpfr.go ~profile:true ~config prog in
-      let p = profile_of tel in
-      Alcotest.(check int)
-        (name ^ ": tracked == total_fpvm_cycles")
-        (Fpvm.Stats.total_fpvm_cycles s)
-        (Telemetry.Profile.tracked_cycles p))
-    [ ("emulate/incremental", cfg ());
-      ("emulate/full-gc", cfg ~incremental_gc:false ());
-      ("emulate/no-plans", cfg ~use_plans:false ());
-      ("patch", cfg ~approach:Fpvm.Engine.Trap_and_patch ()) ]
+    (fun wname ->
+      let prog = workload wname in
+      List.iter
+        (fun (name, config) ->
+          let name = wname ^ " " ^ name in
+          let s, tel = R_mpfr.go ~profile:true ~config prog in
+          let p = profile_of tel in
+          Alcotest.(check int)
+            (name ^ ": tracked == total_fpvm_cycles")
+            (Fpvm.Stats.total_fpvm_cycles s)
+            (Telemetry.Profile.tracked_cycles p);
+          let emulations =
+            Array.fold_left
+              (fun acc -> function
+                | Some site -> acc + site.Telemetry.Profile.emulations
+                | None -> acc)
+              0 p.Telemetry.Profile.sites
+          in
+          Alcotest.(check int)
+            (name ^ ": site emulations == emulated_insns + math_calls")
+            (s.Fpvm.Stats.emulated_insns + s.Fpvm.Stats.math_calls)
+            emulations)
+        [ ("emulate/incremental", cfg ());
+          ("emulate/full-gc", cfg ~incremental_gc:false ());
+          ("emulate/no-plans", cfg ~use_plans:false ());
+          ("emulate/no-jit", cfg ~use_jit:false ());
+          ("patch", cfg ~approach:Fpvm.Engine.Trap_and_patch ());
+          ("static", cfg ~approach:Fpvm.Engine.Static_transform ()) ])
+    [ "lorenz"; "fbench" ]
 
 (* ---- ring trace export ----------------------------------------------- *)
 
