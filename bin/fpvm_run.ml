@@ -149,11 +149,10 @@ let run workload arith prec posit_bits approach machine deployment scale
     | None ->
         `Error (false, Printf.sprintf "unknown workload %S (try --list)" workload)
     | Some e -> (
-        let wscale = if scale = "s" then W.S else W.Test in
         match
           (try
              Ok
-               (let p = e.W.program wscale in
+               (let p = e.W.program scale in
                 if inject_nan >= 0 then
                   Machine.Program.inject_nan p ~nth:inject_nan
                 else p)
@@ -287,7 +286,7 @@ let run workload arith prec posit_bits approach machine deployment scale
                   in
                   let meta =
                     { Replay.Log.workload = e.W.name;
-                      scale;
+                      scale = W.scale_name scale;
                       arith =
                         (match arith with
                         | "mpfr" | "slash" -> Printf.sprintf "%s:%d" arith prec
@@ -384,7 +383,7 @@ let run workload arith prec posit_bits approach machine deployment scale
                             Telemetry.Numprof.report_text np bb;
                             prerr_string (Buffer.contents bb)
                         | _ -> ());
-                    if json then print_json ~workload:e.W.name ~arith:meta.Replay.Log.arith ~scale r;
+                    if json then print_json ~workload:e.W.name ~arith:meta.Replay.Log.arith ~scale:meta.Replay.Log.scale r;
                     if stats then print_stats r;
                     let s = r.Fpvm.Engine.stats in
                     let fpa_violated =
@@ -896,7 +895,7 @@ let coach_flags ~wname ~arith ~prec ~posit_bits ~scale ~full_gc ~inject_nan =
   | "mpfr" | "slash" -> Buffer.add_string b (Printf.sprintf " -a %s --prec %d" arith prec)
   | "posit" -> Buffer.add_string b (Printf.sprintf " -a posit --posit %d" posit_bits)
   | a -> Buffer.add_string b (Printf.sprintf " -a %s" a));
-  if scale = "s" then Buffer.add_string b " --scale s";
+  if scale = W.S then Buffer.add_string b " --scale s";
   if full_gc then Buffer.add_string b " --full-gc";
   if inject_nan >= 0 then
     Buffer.add_string b (Printf.sprintf " --inject-nan %d" inject_nan);
@@ -925,11 +924,10 @@ let coach workload arith prec posit_bits scale full_gc ground_truth
         | Error m -> `Error (false, m)
         | Ok port -> (
             let d = Fleet.port_driver port in
-            let wscale = if scale = "s" then W.S else W.Test in
             match
               (try
                  Ok
-                   (let p = e.W.program wscale in
+                   (let p = e.W.program scale in
                     if inject_nan >= 0 then
                       Machine.Program.inject_nan p ~nth:inject_nan
                     else p)
@@ -956,7 +954,7 @@ let coach workload arith prec posit_bits scale full_gc ground_truth
             in
             let meta =
               { Replay.Log.workload = e.W.name;
-                scale;
+                scale = W.scale_name scale;
                 arith =
                   (match arith with
                   | "mpfr" | "slash" -> Printf.sprintf "%s:%d" arith prec
@@ -1107,8 +1105,12 @@ let deployment =
   Arg.(value & opt string "user"
        & info [ "deployment" ] ~doc:"Trap delivery: user, kernel, uu.")
 
+(* anything but test or s (in any case) is a usage error *)
 let scale =
-  Arg.(value & opt string "test" & info [ "scale" ] ~doc:"Problem scale: test or s.")
+  let parse v = Result.map_error (fun m -> `Msg m) (W.scale_of_string v) in
+  let print ppf s = Format.pp_print_string ppf (W.scale_name s) in
+  Arg.(value & opt (conv (parse, print)) W.Test
+       & info [ "scale" ] ~doc:"Problem scale: test or s.")
 
 let trace_len =
   Arg.(value & opt int 64

@@ -26,7 +26,7 @@ let guest_json (r : Fleet.guest_result) =
       kv_i "guest" g.Fleet.g_id;
       kv_s "workload" g.Fleet.g_workload;
       kv_s "arith" (Fleet.guest_arith g);
-      kv_s "scale" (Fleet.scale_string g.Fleet.g_scale);
+      kv_s "scale" (Workloads.scale_name g.Fleet.g_scale);
       kv_s "gc"
         (if g.Fleet.g_config.Fpvm.Engine.incremental_gc then "inc" else "full");
       kv_i "domain" r.Fleet.r_domain;

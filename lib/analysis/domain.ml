@@ -21,43 +21,72 @@ module IntSet = Set.Make (Int)
 (* byte interval [lo, hi), srcs = contributing source instruction idxs *)
 type span = { lo : int; hi : int; srcs : IntSet.t }
 
-type taint = span list (* sorted by lo, pairwise disjoint, all non-empty *)
+(* Normal form, which every operation below preserves and relies on:
+   sorted by [lo], pairwise disjoint, every span non-empty, and no two
+   adjacent spans ([a.hi = b.lo]) with equal provenance.  Each operation
+   walks the list once, rebuilds only the prefix it changes and shares
+   the untouched tail. *)
+type taint = span list
 
 let span_equal a b = a.lo = b.lo && a.hi = b.hi && IntSet.equal a.srcs b.srcs
 
 let taint_equal a b =
-  try List.for_all2 span_equal a b with Invalid_argument _ -> false
+  a == b || try List.for_all2 span_equal a b with Invalid_argument _ -> false
 
-(* merge adjacent spans with identical provenance (normalization only) *)
-let rec coalesce = function
-  | a :: b :: rest when a.hi = b.lo && IntSet.equal a.srcs b.srcs ->
-      coalesce ({ lo = a.lo; hi = b.hi; srcs = a.srcs } :: rest)
-  | a :: rest -> a :: coalesce rest
-  | [] -> []
+(* [m] is about to be placed between the reversed finished prefix [rev]
+   and the remaining spans [rest], neither of which it overlaps:
+   coalesce it with an equal-provenance neighbour on either side (the
+   left one's provenance set is kept), then push it onto the prefix. *)
+let place rev m rest =
+  let rev, m =
+    match rev with
+    | p :: rev' when p.hi = m.lo && IntSet.equal p.srcs m.srcs ->
+        (rev', { lo = p.lo; hi = m.hi; srcs = p.srcs })
+    | _ -> (rev, m)
+  in
+  match rest with
+  | n :: rest' when m.hi = n.lo && IntSet.equal m.srcs n.srcs ->
+      ({ m with hi = n.hi } :: rev, rest')
+  | _ -> (m :: rev, rest)
+
+(* Insert [lo,hi) ↦ srcs at the zipper ([rev] reversed prefix, [rest]
+   suffix): move every span wholly left of [lo] onto the prefix, absorb
+   every span the new one overlaps (widening it and unioning their
+   provenance in ascending order), then [place] the result. *)
+let insert rev rest ~lo ~hi ~srcs =
+  let rec skip rev = function
+    | s :: rest when s.hi <= lo -> skip (s :: rev) rest
+    | rest -> absorb rev { lo; hi; srcs } rest
+  and absorb rev m = function
+    | s :: rest when s.lo < hi ->
+        absorb rev
+          { lo = min m.lo s.lo; hi = max m.hi s.hi;
+            srcs = IntSet.union m.srcs s.srcs }
+          rest
+    | rest -> place rev m rest
+  in
+  skip rev rest
 
 let taint_add spans ~lo ~hi ~srcs =
   if hi <= lo then spans
-  else begin
-    let before, rest = List.partition (fun s -> s.hi <= lo) spans in
-    let overlap, after = List.partition (fun s -> s.lo < hi) rest in
-    let merged =
-      List.fold_left
-        (fun acc s -> { lo = min acc.lo s.lo; hi = max acc.hi s.hi; srcs = IntSet.union acc.srcs s.srcs })
-        { lo; hi; srcs } overlap
-    in
-    coalesce (before @ (merged :: after))
-  end
-
-let taint_kill spans ~lo ~hi =
-  if hi <= lo then spans
   else
-    List.concat_map
-      (fun s ->
-        if s.hi <= lo || s.lo >= hi then [ s ]
-        else
-          (if s.lo < lo then [ { s with hi = lo } ] else [])
-          @ if s.hi > hi then [ { s with lo = hi } ] else [])
-      spans
+    let rev, rest = insert [] spans ~lo ~hi ~srcs in
+    List.rev_append rev rest
+
+(* remove [lo,hi); returns [spans] itself when nothing overlaps *)
+let taint_kill spans ~lo ~hi =
+  let rec cut = function
+    | s :: rest when s.lo < hi ->
+        let right = if s.hi > hi then { s with lo = hi } :: rest else cut rest in
+        if s.lo < lo then { s with hi = lo } :: right else right
+    | rest -> rest
+  in
+  let rec skip rev = function
+    | s :: rest when s.hi <= lo -> skip (s :: rev) rest
+    | s :: _ as rest when s.lo < hi -> List.rev_append rev (cut rest)
+    | _ -> spans
+  in
+  if hi <= lo then spans else skip [] spans
 
 (* provenance of any taint overlapping [lo, hi); empty set = untainted *)
 let taint_query spans ~lo ~hi =
@@ -65,7 +94,26 @@ let taint_query spans ~lo ~hi =
     (fun acc s -> if s.hi <= lo || s.lo >= hi then acc else IntSet.union acc s.srcs)
     IntSet.empty spans
 
-let taint_join a b = List.fold_left (fun acc s -> taint_add acc ~lo:s.lo ~hi:s.hi ~srcs:s.srcs) a b
+(* The join is defined as the left fold of [taint_add] over [b]'s spans.
+   Because [b] is sorted, the fold is one merge walk: a zipper over the
+   accumulated result whose cursor only moves right.  The last placed
+   span is stepped back over when the next span of [b] reaches into it,
+   since it may have grown past that span's start. *)
+let taint_join a b =
+  if a == b then a
+  else
+    let rec go rev rest = function
+      | [] -> List.rev_append rev rest
+      | s :: b' ->
+          let rev, rest =
+            match rev with
+            | p :: rev' when p.hi > s.lo -> (rev', p :: rest)
+            | _ -> (rev, rest)
+          in
+          let rev, rest = insert rev rest ~lo:s.lo ~hi:s.hi ~srcs:s.srcs in
+          go rev rest b'
+    in
+    go [] a b
 
 (* ---- registers, cells, compare facts ------------------------------------- *)
 

@@ -76,23 +76,38 @@ let f_equal a b =
   done;
   !ok
 
+(* [g] is D.join or D.widen, both idempotent, so whatever is physically
+   shared by the two sides (the whole state, its lane array, its cell map
+   or a single value) passes through without being rebuilt *)
 let f_merge g a b =
-  { fx = Array.init 32 (fun i -> g a.fx.(i) b.fx.(i));
-    fmem =
-      IntMap.merge
-        (fun _ x y ->
-          match (x, y) with Some x, Some y -> Some (g x y) | _ -> None)
-        a.fmem b.fmem }
+  let g x y = if x == y then x else g x y in
+  if a == b then a
+  else
+    { fx = (if a.fx == b.fx then a.fx else Array.init 32 (fun i -> g a.fx.(i) b.fx.(i)));
+      fmem =
+        (if a.fmem == b.fmem then a.fmem
+         else
+           IntMap.merge
+             (fun _ x y ->
+               match (x, y) with Some x, Some y -> Some (g x y) | _ -> None)
+             a.fmem b.fmem) }
 
 let f_join = f_merge D.join
 let f_widen = f_merge D.widen
 
-(* drop every cell a store into [lo,hi) may touch (back to top) *)
+(* drop every cell a store into [lo,hi) may touch (back to top): the
+   8-byte cells starting in (lo-8, hi), found by a seek rather than a
+   scan; returns [f] itself when no such cell is materialized *)
 let drop_range f lo hi =
+  let rec drop m cells =
+    match cells () with
+    | Seq.Cons ((a, _), rest) when a < hi -> drop (IntMap.remove a m) rest
+    | _ -> m
+  in
   if hi <= lo then f
   else
-    { f with
-      fmem = IntMap.filter (fun a _ -> not (a + 8 > lo && a < hi)) f.fmem }
+    let fmem = drop f.fmem (IntMap.to_seq_from (lo - 7) f.fmem) in
+    if fmem == f.fmem then f else { f with fmem }
 
 let drop_acc f (a : P.acc) = drop_range f a.P.alo a.P.ahi
 

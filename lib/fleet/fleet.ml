@@ -274,8 +274,6 @@ type guest = {
 
 let guest_arith (g : guest) = Port.to_string g.g_port
 
-let scale_string = function W.Test -> "test" | W.S -> "s"
-
 (* One guest's outcome. Everything here is functor-free; the
    fingerprint is the engine's 42-counter deterministic stats string,
    the bit-identity witness against a solo run. [r_stats] also carries
@@ -305,13 +303,19 @@ module Manifest = struct
      posit (8|16|32, default 32); scale (test|s, default test);
      gc (inc|full, default inc); gc-interval; plans (on|off, default
      on); jit (on|off, default on); jit-threshold; trace-len;
-     count (replicate the guest N times, default 1). '#' starts a
-     comment; blank lines are ignored.
+     count (replicate the guest N times, default 1, at most
+     [max_count]). '#' starts a comment; blank lines are ignored. A
+     manifest expands to at most [max_guests] guests in total; both
+     bounds are checked before anything is expanded, so a hostile
+     count fails with its line number instead of exhausting memory.
 
      Workload names are matched case-insensitively; since tokens are
      whitespace-separated, names containing spaces are written with
      '-' or '_' in their place ([workload=nas-cg] resolves to
      "NAS CG"). *)
+
+  let max_count = 1024
+  let max_guests = 4096
 
   let parse_onoff ~line key = function
     | "on" -> Ok true
@@ -350,10 +354,12 @@ module Manifest = struct
         p_gci = dc.Fpvm.Engine.gc_interval; p_count = 1 }
     in
     let ( let* ) = Result.bind in
-    let bounded key lo v k =
+    let bounded ?(hi = max_int) key lo v k =
       let* n = parse_int ~line key v in
       if n < lo then
         Error (Printf.sprintf "line %d: %s must be >= %d (got %d)" line key lo n)
+      else if n > hi then
+        Error (Printf.sprintf "line %d: %s must be <= %d (got %d)" line key hi n)
       else begin
         k n;
         Ok ()
@@ -369,17 +375,10 @@ module Manifest = struct
           Ok ()
       | "prec" -> bounded "prec" 2 v (fun n -> p.p_prec <- n)
       | "posit" -> bounded "posit" 8 v (fun n -> p.p_posit <- n)
-      | "scale" -> (
-          match String.lowercase_ascii v with
-          | "test" ->
-              p.p_scale <- W.Test;
-              Ok ()
-          | "s" ->
-              p.p_scale <- W.S;
-              Ok ()
-          | _ ->
-              Error
-                (Printf.sprintf "line %d: scale must be test or s (got %S)" line v))
+      | "scale" ->
+          let* s = Result.map_error (Printf.sprintf "line %d: %s" line) (W.scale_of_string v) in
+          p.p_scale <- s;
+          Ok ()
       | "gc" -> (
           match String.lowercase_ascii v with
           | "inc" | "incremental" ->
@@ -401,7 +400,7 @@ module Manifest = struct
           Ok ()
       | "jit-threshold" -> bounded "jit-threshold" 1 v (fun n -> p.p_jthr <- n)
       | "trace-len" -> bounded "trace-len" 1 v (fun n -> p.p_tlen <- n)
-      | "count" -> bounded "count" 1 v (fun n -> p.p_count <- n)
+      | "count" -> bounded ~hi:max_count "count" 1 v (fun n -> p.p_count <- n)
       | k -> Error (Printf.sprintf "line %d: unknown key %S" line k)
     in
     let toks =
@@ -462,20 +461,25 @@ module Manifest = struct
   let parse (content : string) : (guest list, string) result =
     let ( let* ) = Result.bind in
     let lines = String.split_on_char '\n' content in
-    let* specs =
+    let* specs, _total =
       List.fold_left
         (fun acc (line_no, raw) ->
-          let* acc = acc in
+          let* acc, total = acc in
           let s =
             match String.index_opt raw '#' with
             | Some i -> String.sub raw 0 i
             | None -> raw
           in
-          if String.trim s = "" then Ok acc
+          if String.trim s = "" then Ok (acc, total)
           else
-            let* g = parse_line ~line:line_no s in
-            Ok (g :: acc))
-        (Ok [])
+            let* ((_, count) as g) = parse_line ~line:line_no s in
+            let total = total + count in
+            if total > max_guests then
+              Error
+                (Printf.sprintf "line %d: manifest expands to more than %d guests"
+                   line_no max_guests)
+            else Ok (g :: acc, total))
+        (Ok ([], 0))
         (List.mapi (fun i l -> (i + 1, l)) lines)
     in
     let specs = List.rev specs in
@@ -577,7 +581,7 @@ let run_guest ~batch ~flows ~facts ~artifacts ~on_switch (g : guest) :
   in
   let prog = entry.W.program g.g_scale in
   let key =
-    Facts.key_for ~workload:g.g_workload ~scale:(scale_string g.g_scale)
+    Facts.key_for ~workload:g.g_workload ~scale:(W.scale_name g.g_scale)
   in
   let a = Facts.get facts ~key prog in
   let d = port_driver g.g_port in
@@ -673,7 +677,7 @@ let serve ?(domains = 1) ?(batch = 8) ?(switch_cost = default_switch_cost)
       | Some e ->
           let key =
             Facts.key_for ~workload:g.g_workload
-              ~scale:(scale_string g.g_scale)
+              ~scale:(W.scale_name g.g_scale)
           in
           ignore (Facts.get facts ~key (e.W.program g.g_scale))
       | None -> invalid_arg ("fleet: unknown workload " ^ g.g_workload))

@@ -17,6 +17,16 @@ module Astro = Astro
 
 type scale = Test | S
 
+let scale_name = function Test -> "test" | S -> "s"
+
+(* the one parser for a scale name, shared by the CLI and fleet
+   manifests: [test] or [s], case-insensitively *)
+let scale_of_string v =
+  match String.lowercase_ascii v with
+  | "test" -> Ok Test
+  | "s" -> Ok S
+  | _ -> Error (Printf.sprintf "scale must be test or s (got %S)" v)
+
 type entry = {
   name : string;
   specifics : string; (* Figure 12's "Specifics" column *)

@@ -9,6 +9,7 @@ open Machine
 module Si = Analysis.Si
 module Cfg = Analysis.Cfg
 module AP = Analysis.Pipeline
+module Fpa = Analysis.Fpa
 module E_vanilla = Fpvm.Engine.Make (Fpvm.Alt_vanilla)
 
 let xmm n = Isa.Xmm n
@@ -375,6 +376,236 @@ let oracle_tests =
           r.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads)
   ]
 
+(* ---- taint map: differential against the list reference ---- *)
+
+(* The taint operations as first written (two partitions, an append and
+   a full coalesce per add; the join a left fold of add), kept as the
+   oracle for the single-pass and zipper versions in Domain. *)
+module Ref_taint = struct
+  open Analysis.Domain
+
+  let rec coalesce = function
+    | a :: b :: rest when a.hi = b.lo && IntSet.equal a.srcs b.srcs ->
+        coalesce ({ lo = a.lo; hi = b.hi; srcs = a.srcs } :: rest)
+    | a :: rest -> a :: coalesce rest
+    | [] -> []
+
+  let add spans ~lo ~hi ~srcs =
+    if hi <= lo then spans
+    else begin
+      let before, rest = List.partition (fun s -> s.hi <= lo) spans in
+      let overlap, after = List.partition (fun s -> s.lo < hi) rest in
+      let merged =
+        List.fold_left
+          (fun acc s ->
+            { lo = min acc.lo s.lo; hi = max acc.hi s.hi;
+              srcs = IntSet.union acc.srcs s.srcs })
+          { lo; hi; srcs } overlap
+      in
+      coalesce (before @ (merged :: after))
+    end
+
+  let kill spans ~lo ~hi =
+    if hi <= lo then spans
+    else
+      List.concat_map
+        (fun s ->
+          if s.hi <= lo || s.lo >= hi then [ s ]
+          else
+            (if s.lo < lo then [ { s with hi = lo } ] else [])
+            @ if s.hi > hi then [ { s with lo = hi } ] else [])
+        spans
+
+  let join a b = List.fold_left (fun acc s -> add acc ~lo:s.lo ~hi:s.hi ~srcs:s.srcs) a b
+end
+
+module Dm = Analysis.Domain
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let taint_view (t : Dm.taint) =
+  List.map (fun (s : Dm.span) -> (s.Dm.lo, s.Dm.hi, Dm.IntSet.elements s.Dm.srcs)) t
+
+let show_taint t =
+  String.concat " "
+    (List.map
+       (fun (lo, hi, srcs) -> Printf.sprintf "[%d,%d)%s" lo hi (ints srcs))
+       (taint_view t))
+
+(* sorted, disjoint, non-empty, no adjacent spans with equal provenance *)
+let normal_form (t : Dm.taint) =
+  List.for_all (fun (s : Dm.span) -> s.Dm.lo < s.Dm.hi) t
+  &&
+  let rec ok = function
+    | (a : Dm.span) :: ((b : Dm.span) :: _ as rest) ->
+        a.Dm.hi <= b.Dm.lo
+        && (not (a.Dm.hi = b.Dm.lo && Dm.IntSet.equal a.Dm.srcs b.Dm.srcs))
+        && ok rest
+    | _ -> true
+  in
+  ok t
+
+(* ops over a narrow byte range and few sources, so overlaps, exact
+   adjacency and equal provenance all come up often *)
+type taint_op = Add of int * int * int list | Kill of int * int
+
+let gen_range =
+  QCheck.Gen.(
+    map2 (fun lo len -> (lo, lo + len)) (int_bound 48) (int_bound 12))
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [ (3, map2 (fun (lo, hi) srcs -> Add (lo, hi, srcs)) gen_range
+              (list_size (int_range 1 2) (int_bound 3)));
+        (1, map (fun (lo, hi) -> Kill (lo, hi)) gen_range) ])
+
+let show_op = function
+  | Add (lo, hi, srcs) -> Printf.sprintf "add[%d,%d)%s" lo hi (ints srcs)
+  | Kill (lo, hi) -> Printf.sprintf "kill[%d,%d)" lo hi
+
+let apply_ref t = function
+  | Add (lo, hi, srcs) -> Ref_taint.add t ~lo ~hi ~srcs:(Dm.IntSet.of_list srcs)
+  | Kill (lo, hi) -> Ref_taint.kill t ~lo ~hi
+
+let apply_new t = function
+  | Add (lo, hi, srcs) -> Dm.taint_add t ~lo ~hi ~srcs:(Dm.IntSet.of_list srcs)
+  | Kill (lo, hi) -> Dm.taint_kill t ~lo ~hi
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck.Gen.(list_size (int_bound 24) gen_op)
+
+let arb_two_ops = QCheck.pair arb_ops arb_ops
+
+let build ops = List.fold_left apply_ref [] ops
+
+let agree what expected actual =
+  if not (normal_form actual) then
+    QCheck.Test.fail_reportf "%s: not in normal form: %s" what (show_taint actual);
+  if taint_view expected <> taint_view actual then
+    QCheck.Test.fail_reportf "%s:\n  reference %s\n  new       %s" what
+      (show_taint expected) (show_taint actual);
+  true
+
+let qtaint ~name arb law =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7A147 |])
+    (QCheck.Test.make ~count:3000 ~name arb law)
+
+let taint_tests =
+  [ qtaint ~name:"add and kill match the reference after every op" arb_ops
+      (fun ops ->
+        ignore
+          (List.fold_left
+             (fun (r, n) op ->
+               let r = apply_ref r op and n = apply_new n op in
+               ignore (agree (show_op op) r n);
+               (r, n))
+             ([], []) ops);
+        true);
+    qtaint ~name:"join is the left fold of add" arb_two_ops (fun (xs, ys) ->
+        let a = build xs and b = build ys in
+        agree "join a b" (Ref_taint.join a b) (Dm.taint_join a b)
+        && agree "join b a" (Ref_taint.join b a) (Dm.taint_join b a)
+        && agree "join a a" (Ref_taint.join a a) (Dm.taint_join a a)
+        && agree "join a []" (Ref_taint.join a []) (Dm.taint_join a [])
+        && agree "join [] a" (Ref_taint.join [] a) (Dm.taint_join [] a));
+    qtaint ~name:"kill without overlap returns its input" arb_ops (fun ops ->
+        let t = build ops in
+        let hi = List.fold_left (fun m (s : Dm.span) -> max m s.Dm.hi) 0 t in
+        Dm.taint_kill t ~lo:hi ~hi:(hi + 8) == t
+        && Dm.taint_kill t ~lo:5 ~hi:5 == t)
+  ]
+
+(* ---- whole-analysis identity golden ---- *)
+
+(* A canonical text rendering of everything [Vsa.analyze] decides, for
+   every workload at both scales: the taint tier's sinks (kind and
+   provenance), sources, exit taint spans, iteration and block counts,
+   and the FP tier's per-site verdicts.  Host-time optimisations of the
+   abstract domains must reproduce it byte for byte. *)
+
+let identity_golden = "analysis_identity.txt"
+
+let render_analysis buf (a : Fpvm.Vsa.analysis) =
+  let pr fmt = Printf.bprintf buf fmt in
+  let p = a.Fpvm.Vsa.pipeline in
+  pr "pipeline iterations=%d n_blocks=%d n_loop_heads=%d bailed_out=%b\n"
+    p.AP.iterations p.AP.n_blocks p.AP.n_loop_heads p.AP.bailed_out;
+  pr "loads total=%d proven=%d elided=%d\n" p.AP.total_int_loads
+    p.AP.proven_safe_loads p.AP.trap_checks_elided;
+  pr "sources %s\n" (ints p.AP.sources);
+  List.iter
+    (fun (s : AP.sink) ->
+      pr "sink %d %s srcs=%s\n" s.AP.sink_index
+        (match s.AP.kind with
+        | AP.K_int_load -> "int_load"
+        | AP.K_movq -> "movq"
+        | AP.K_fp_bit -> "fp_bit")
+        (ints s.AP.srcs))
+    p.AP.sinks;
+  List.iter
+    (fun (lo, hi, srcs) -> pr "taint [%d,%d) srcs=%s\n" lo hi (ints srcs))
+    p.AP.tainted;
+  let f = a.Fpvm.Vsa.fpa in
+  pr "fpa iterations=%d sites=%d sub_free=%d born_free=%d proven=%d \
+      bailed_out=%b\n"
+    f.Fpa.iterations f.Fpa.sites f.Fpa.sub_free f.Fpa.born_free f.Fpa.proven
+    f.Fpa.bailed_out;
+  Array.iter
+    (fun (v : Fpa.verdict) ->
+      pr "verdict %d sub_free=%b born_free=%b risks=%s srcs=%s\n"
+        v.Fpa.v_index v.Fpa.v_sub_free v.Fpa.v_born_free
+        (String.concat "," v.Fpa.v_risks) (ints v.Fpa.v_srcs))
+    f.Fpa.verdicts
+
+let render_all_workloads () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (e : Workloads.entry) ->
+      List.iter
+        (fun (scale, tag) ->
+          Printf.bprintf buf "== %s @ %s\n" e.Workloads.name tag;
+          render_analysis buf (Fpvm.Vsa.analyze (e.Workloads.program scale)))
+        [ (Workloads.Test, "test"); (Workloads.S, "s") ])
+    Workloads.all;
+  Buffer.contents buf
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let identity_tests =
+  [ Alcotest.test_case "Vsa.analyze reproduces the identity golden" `Slow
+      (fun () ->
+        let actual = render_all_workloads () in
+        let expected = read_file identity_golden in
+        if actual <> expected then begin
+          (* leave the fresh rendering next to the test binary so a
+             deliberate analysis change can be reviewed and committed *)
+          let out = identity_golden ^ ".actual" in
+          let oc = open_out_bin out in
+          output_string oc actual;
+          close_out oc;
+          let la = String.split_on_char '\n' actual
+          and le = String.split_on_char '\n' expected in
+          let rec first i = function
+            | a :: ra, e :: re -> if a = e then first (i + 1) (ra, re) else (i, a, e)
+            | a :: _, [] -> (i, a, "<end of golden>")
+            | [], e :: _ -> (i, "<end of rendering>", e)
+            | [], [] -> (i, "", "")
+          in
+          let line, a, e = first 1 (la, le) in
+          Alcotest.failf
+            "analysis differs from test/%s at line %d:\n  golden: %s\n  actual: %s\n\
+             (full rendering written to _build/default/test/%s)"
+            identity_golden line e a out
+        end)
+  ]
+
 let () =
   Alcotest.run "analysis"
     [ ("strided intervals", si_tests);
@@ -382,5 +613,7 @@ let () =
       ("pipeline", pipeline_tests);
       ("idioms", idiom_tests);
       ("patching", patch_tests);
-      ("oracle", oracle_tests)
+      ("oracle", oracle_tests);
+      ("taint map", taint_tests);
+      ("identity", identity_tests)
     ]

@@ -74,6 +74,27 @@ let manifest_tests =
         check_err "expected key=value" "workload=lorenz whoops\n";
         check_err "line 2" "workload=lorenz\nworkload=lorenz gc=sometimes\n";
         check_err "no guests" "# empty\n\n");
+    Alcotest.test_case "parse: count and total guests are bounded" `Quick
+      (fun () ->
+        let line n = Printf.sprintf "workload=lorenz count=%d\n" n in
+        let count_of content =
+          match Fleet.Manifest.parse content with
+          | Ok gs -> List.length gs
+          | Error m -> Alcotest.fail m
+        in
+        Alcotest.(check int) "count at the bound expands"
+          Fleet.Manifest.max_count (count_of (line Fleet.Manifest.max_count));
+        check_err "line 1: count must be <= 1024" (line 99999999);
+        check_err "line 2: count must be <= 1024"
+          (line 1 ^ line (Fleet.Manifest.max_count + 1));
+        let full = Fleet.Manifest.max_guests / Fleet.Manifest.max_count in
+        let lines k = String.concat "" (List.init k (fun _ -> line Fleet.Manifest.max_count)) in
+        Alcotest.(check int) "total at the bound expands"
+          Fleet.Manifest.max_guests (count_of (lines full));
+        check_err
+          (Printf.sprintf "line %d: manifest expands to more than %d guests"
+             (full + 2) Fleet.Manifest.max_guests)
+          ("# comment lines still count\n" ^ lines full ^ line 1));
     Alcotest.test_case "validate_serve mirrors flag validation" `Quick
       (fun () ->
         (match Fleet.validate_serve ~domains:0 ~batch:8 with

@@ -131,9 +131,61 @@ let structural =
           (r.Fpvm.Engine.stats.Fpvm.Stats.math_calls > 100))
   ]
 
+(* ---- scale names (library parser and the fpvm_run --scale flag) ---- *)
+
+let fpvm_run = "../bin/fpvm_run.exe"
+
+(* run fpvm_run natively on lorenz with [--scale arg]: exit code and stdout *)
+let run_scale arg =
+  let out = Filename.temp_file "scale" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s -w lorenz -a native --scale %s > %s 2> /dev/null"
+         fpvm_run (Filename.quote arg) (Filename.quote out))
+  in
+  let ic = open_in_bin out in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove out;
+  (code, text)
+
+let scale_tests =
+  [ Alcotest.test_case "scale_of_string: test or s, any case" `Quick (fun () ->
+        List.iter
+          (fun (v, want) ->
+            match Workloads.scale_of_string v with
+            | Ok s ->
+                Alcotest.(check string) v (Workloads.scale_name want)
+                  (Workloads.scale_name s)
+            | Error m -> Alcotest.fail m)
+          [ ("test", Workloads.Test); ("TEST", Workloads.Test);
+            ("s", Workloads.S); ("S", Workloads.S) ];
+        List.iter
+          (fun v ->
+            match Workloads.scale_of_string v with
+            | Ok _ -> Alcotest.failf "%S accepted" v
+            | Error _ -> ())
+          [ ""; "foo"; "small"; "s "; "l" ]);
+    Alcotest.test_case "fpvm_run --scale: S runs the S scale, foo is a usage error"
+      `Quick (fun () ->
+        let expect_ok arg =
+          let code, out = run_scale arg in
+          Alcotest.(check int) ("exit for --scale " ^ arg) 0 code;
+          out
+        in
+        let s_ref = Option.get ((Option.get (Workloads.find "lorenz")).reference Workloads.S)
+        and t_ref = Option.get ((Option.get (Workloads.find "lorenz")).reference Workloads.Test) in
+        Alcotest.(check string) "--scale s" s_ref (expect_ok "s");
+        Alcotest.(check string) "--scale S" s_ref (expect_ok "S");
+        Alcotest.(check string) "--scale Test" t_ref (expect_ok "Test");
+        Alcotest.(check int) "--scale foo is a cmdliner usage error" 124
+          (fst (run_scale "foo")))
+  ]
+
 let () =
   Alcotest.run "workloads"
     [ ("native-vs-reference", native_vs_reference);
       ("vanilla-vs-native", vanilla_vs_native);
       ("instrumented-vs-native", instrumented_vs_native);
-      ("structural", structural) ]
+      ("structural", structural);
+      ("scale", scale_tests) ]
