@@ -185,8 +185,13 @@ module Make (A : Arith.S) = struct
            temp elision may fire (trace exit materializes leftovers) *)
     mutable temp_stores : (int * int) list;
         (* (byte address, scratch slot) of every in-trace binary64 store
-           that spilled a live temp pattern to memory; swept (re-boxed
-           where the pattern survives) at trace exit *)
+           that spilled a live temp pattern to memory, newest first;
+           swept (re-boxed where the pattern survives) at trace exit.
+           Entries of an already-materialized slot stay but are dead. *)
+    mutable slot_stores : int list array;
+        (* per scratch slot: the byte addresses of its entries in
+           [temp_stores], newest first, so promoting one slot visits
+           only its own spill words *)
     jit : Jit.t;
         (* hot-trace accounting: per-head delivery counters and the
            recorded paths compiled blocks were lowered from (the
@@ -225,6 +230,7 @@ module Make (A : Arith.S) = struct
       scratch_n = 0;
       in_trace = false;
       temp_stores = [];
+      slot_stores = [||];
       jit = Jit.create ();
       jit_blocks = Plan.create ();
       jit_rec = None;
@@ -460,16 +466,11 @@ module Make (A : Arith.S) = struct
         for i = 0 to 31 do
           if Int64.equal st.State.xmm.(i) pat then st.State.xmm.(i) <- bits
         done;
-        t.temp_stores <-
-          List.filter
-            (fun (a, k') ->
-              if k' = k then begin
-                if Int64.equal (State.load64 st a) pat then
-                  State.store64 st a bits;
-                false
-              end
-              else true)
-            t.temp_stores;
+        List.iter
+          (fun a ->
+            if Int64.equal (State.load64 st a) pat then State.store64 st a bits)
+          t.slot_stores.(k);
+        t.slot_stores.(k) <- [];
         t.scratch.(k) <- None;
         t.stats.Stats.temps_materialized <-
           t.stats.Stats.temps_materialized + 1
@@ -480,6 +481,10 @@ module Make (A : Arith.S) = struct
       if k < t.scratch_n && t.scratch.(k) <> None then Some k else None
     end
     else None
+
+  let record_store t a k =
+    t.temp_stores <- (a, k) :: t.temp_stores;
+    t.slot_stores.(k) <- a :: t.slot_stores.(k)
 
   let mat_bits t st bits =
     match live_slot t bits with
@@ -519,7 +524,7 @@ module Make (A : Arith.S) = struct
       match insn with
       | Isa.Mov_f { w = Isa.F64; dst = Isa.Mem m; src = Isa.Xmm x } ->
           (match live_slot t (State.get_xmm st x 0) with
-          | Some k -> t.temp_stores <- (State.ea st m, k) :: t.temp_stores
+          | Some k -> record_store t (State.ea st m) k
           | None -> ())
       | Isa.Mov_f { w = Isa.F64; _ } -> ()
       | Isa.Mov_f { w = Isa.F32; dst; src } ->
@@ -528,10 +533,10 @@ module Make (A : Arith.S) = struct
       | Isa.Mov_x { dst = Isa.Mem m; src = Isa.Xmm x } ->
           let a = State.ea st m in
           (match live_slot t (State.get_xmm st x 0) with
-          | Some k -> t.temp_stores <- (a, k) :: t.temp_stores
+          | Some k -> record_store t a k
           | None -> ());
           (match live_slot t (State.get_xmm st x 1) with
-          | Some k -> t.temp_stores <- (a + 8, k) :: t.temp_stores
+          | Some k -> record_store t (a + 8) k
           | None -> ())
       | Isa.Mov_x _ -> ()
       (* emulated binary64 FP: operands resolve through unbox *)
@@ -607,6 +612,7 @@ module Make (A : Arith.S) = struct
         stores;
       t.temp_stores <- [];
       Array.fill t.scratch 0 t.scratch_n None;
+      Array.fill t.slot_stores 0 t.scratch_n [];
       t.scratch_n <- 0
     end
     else t.temp_stores <- []
@@ -1666,6 +1672,7 @@ module Make (A : Arith.S) = struct
        trace budget (at most one temp per emulated instruction). *)
     set_elide t prog.Program.insns;
     t.scratch <- Array.make (max 1 config.max_trace_len) None;
+    t.slot_stores <- Array.make (Array.length t.scratch) [];
     let st = State.create ~cost:config.cost prog in
     if config.incremental_gc then State.set_write_tracking st true;
     let kern = Trapkern.create ~deployment:config.deployment () in

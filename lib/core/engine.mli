@@ -169,8 +169,13 @@ module Make (A : Arith.S) : sig
     mutable in_trace : bool;
     mutable temp_stores : (int * int) list;
         (** (byte address, scratch slot) of every in-trace binary64
-            store that spilled a live temp pattern to memory; swept at
-            trace exit *)
+            store that spilled a live temp pattern to memory, newest
+            first; swept at trace exit (entries of a slot already
+            materialized stay, and are skipped) *)
+    mutable slot_stores : int list array;
+        (** per scratch slot, the byte addresses of its [temp_stores]
+            entries in the same order, so materializing one slot visits
+            only its own spill words *)
     jit : Jit.t;
         (** hot-trace accounting: per-head delivery counters and the
             recorded paths blocks were compiled from (the

@@ -80,9 +80,14 @@ let shift_right_sticky a n =
     (shift_right a n, dropped)
   end
 
+(* Count on native-int halves: an int64 loop variable would box on
+   every iteration. *)
+let rec bits_int w v = if v = 0 then w else bits_int (w + 1) (v lsr 1)
+
 let bits64 v =
-  let rec go w v = if Int64.equal v 0L then w else go (w + 1) (Int64.shift_right_logical v 1) in
-  go 0 v
+  let hi = Int64.to_int (Int64.shift_right_logical v 32) in
+  if hi <> 0 then bits_int 32 hi
+  else bits_int 0 (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
 
 let num_bits a = if Int64.equal a.hi 0L then bits64 a.lo else 64 + bits64 a.hi
 

@@ -186,14 +186,12 @@ let native_ext st (fn : Isa.ext_fn) =
    Correctness_fault, RIP is left at the faulting instruction. *)
 let rec dispatch st idx (insn : Isa.insn) : outcome =
   let cost = st.State.cost in
-  let advance () = st.State.rip <- idx + 1 in
-  let cyc n = State.add_cycles st n in
   match insn with
   | Isa.Fp_arith { op; w; packed; dst; src } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-      cyc (Cost_model.fp_cost cost op);
+      State.add_cycles st (Cost_model.fp_cost cost op);
       if (match src with Isa.Mem _ -> true | _ -> false) then
-        cyc cost.Cost_model.mem_op;
+        State.add_cycles st cost.Cost_model.mem_op;
       let mode = Ieee754.Mxcsr.rounding st.State.mxcsr in
       let lanes = if packed then 2 else 1 in
       let results = Array.make lanes 0L in
@@ -236,13 +234,13 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
           | Isa.F64 -> write_f64 st dst lane results.(lane)
           | Isa.F32 -> write_f32 st dst results.(lane)
         done;
-        advance ();
+        st.State.rip <- idx + 1;
         Running
       end
     end
   | Isa.Fp_cmp { signaling; w; a; b } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-      cyc cost.Cost_model.fp_add;
+      State.add_cycles st cost.Cost_model.fp_add;
       let cmp, fl =
         match w with
         | Isa.F64 ->
@@ -268,13 +266,13 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
             st.State.zf <- true; st.State.pf <- false; st.State.cf <- false);
         st.State.of_ <- false;
         st.State.sf <- false;
-        advance ();
+        st.State.rip <- idx + 1;
         Running
       end
     end
   | Isa.Fp_cmppred { pred; w; dst; src } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-      cyc cost.Cost_model.fp_add;
+      State.add_cycles st cost.Cost_model.fp_add;
       let signaling =
         match pred with
         | Isa.LT | Isa.LE | Isa.NLT | Isa.NLE -> true
@@ -310,13 +308,13 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
         (match w with
         | Isa.F64 -> write_f64 st dst 0 mask
         | Isa.F32 -> write_f32 st dst (Int64.logand mask 0xFFFFFFFFL));
-        advance ();
+        st.State.rip <- idx + 1;
         Running
       end
     end
   | Isa.Fp_round { imm; w; dst; src } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-      cyc cost.Cost_model.fp_add;
+      State.add_cycles st cost.Cost_model.fp_add;
       let mode =
         match imm with
         | Isa.RN -> Ieee754.Softfp.Nearest_even
@@ -336,13 +334,13 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
         (match w with
         | Isa.F64 -> write_f64 st dst 0 r
         | Isa.F32 -> write_f32 st dst r);
-        advance ();
+        st.State.rip <- idx + 1;
         Running
       end
     end
   | Isa.Cvt_f2f { from_w; dst; src } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-      cyc cost.Cost_model.fp_add;
+      State.add_cycles st cost.Cost_model.fp_add;
       let mode = Ieee754.Mxcsr.rounding st.State.mxcsr in
       let r, fl, store32 =
         match from_w with
@@ -358,13 +356,13 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
         if store32 then write_f32 st dst r else write_f64 st dst 0 r;
-        advance ();
+        st.State.rip <- idx + 1;
         Running
       end
     end
   | Isa.Cvt_f2i { w; truncate; size; dst; src } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-      cyc cost.Cost_model.fp_add;
+      State.add_cycles st cost.Cost_model.fp_add;
       let mode =
         if truncate then Ieee754.Softfp.Toward_zero
         else Ieee754.Mxcsr.rounding st.State.mxcsr
@@ -385,13 +383,13 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
         write_int st 8 dst v;
-        advance ();
+        st.State.rip <- idx + 1;
         Running
       end
     end
   | Isa.Cvt_i2f { w; size; dst; src } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-      cyc cost.Cost_model.fp_add;
+      State.add_cycles st cost.Cost_model.fp_add;
       let mode = Ieee754.Mxcsr.rounding st.State.mxcsr in
       let iv = read_int st size src in
       let iv =
@@ -411,13 +409,13 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
             write_f64 st dst 0 r;
             (match dst with Isa.Xmm i -> State.set_xmm st i 1 0L | _ -> ())
         | Isa.F32 -> write_f32 st dst r);
-        advance ();
+        st.State.rip <- idx + 1;
         Running
       end
     end
   (* --- non-trapping FP data movement / bit ops --- *)
   | Isa.Mov_f { w; dst; src } ->
-      cyc cost.Cost_model.fp_move;
+      State.add_cycles st cost.Cost_model.fp_move;
       (match w with
       | Isa.F64 -> begin
           let v = read_f64 st src 0 in
@@ -428,10 +426,10 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
           | _ -> ()
         end
       | Isa.F32 -> write_f32 st dst (read_f32 st src));
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Mov_x { dst; src } ->
-      cyc cost.Cost_model.fp_move;
+      State.add_cycles st cost.Cost_model.fp_move;
       (match (dst, src) with
       | Isa.Xmm d, Isa.Xmm s ->
           State.set_xmm st d 0 (State.get_xmm st s 0);
@@ -445,10 +443,10 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
           State.store64 st a (State.get_xmm st s 0);
           State.store64 st (a + 8) (State.get_xmm st s 1)
       | _ -> raise (Invalid_insn "movapd"));
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Fp_bit { op; dst; src } ->
-      cyc cost.Cost_model.fp_move;
+      State.add_cycles st cost.Cost_model.fp_move;
       let f a b =
         match op with
         | Isa.BXOR -> Int64.logxor a b
@@ -460,22 +458,22 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
         let a = read_f64 st dst lane and b = read_f64 st src lane in
         write_f64 st dst lane (f a b)
       done;
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Movq_xr { dst; src } ->
-      cyc cost.Cost_model.fp_move;
+      State.add_cycles st cost.Cost_model.fp_move;
       State.set_gpr st dst (State.get_xmm st src 0);
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Movq_rx { dst; src } ->
-      cyc cost.Cost_model.fp_move;
+      State.add_cycles st cost.Cost_model.fp_move;
       State.set_xmm st dst 0 (State.get_gpr st src);
       State.set_xmm st dst 1 0L;
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   (* --- integer --- *)
   | Isa.Mov { size; dst; src } ->
-      cyc
+      State.add_cycles st
         (match (dst, src) with
         | (Isa.Mem _, _ | _, Isa.Mem _) -> cost.Cost_model.mem_op
         | _ -> cost.Cost_model.int_op);
@@ -483,15 +481,15 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       (* 32-bit loads sign-extend for arithmetic convenience? x64 movl
          zero-extends; we zero-extend in write_int. *)
       write_int st size dst v;
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Lea { dst; src } ->
-      cyc cost.Cost_model.int_op;
+      State.add_cycles st cost.Cost_model.int_op;
       State.set_gpr st dst (Int64.of_int (State.ea st src));
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Int_arith { op; dst; src } ->
-      cyc cost.Cost_model.int_op;
+      State.add_cycles st cost.Cost_model.int_op;
       let a = read_int st 8 dst and b = read_int st 8 src in
       let r =
         match op with
@@ -514,75 +512,75 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
           st.State.sf <- Int64.compare r 0L < 0;
           st.State.pf <- parity8 r);
       write_int st 8 dst r;
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Cmp { a; b } ->
-      cyc cost.Cost_model.int_op;
+      State.add_cycles st cost.Cost_model.int_op;
       let x = read_int st 8 a and y = read_int st 8 b in
       set_addsub_flags st ~is_sub:true x y (Int64.sub x y);
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Test { a; b } ->
-      cyc cost.Cost_model.int_op;
+      State.add_cycles st cost.Cost_model.int_op;
       let x = read_int st 8 a and y = read_int st 8 b in
       set_logic_flags st (Int64.logand x y);
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Inc o ->
-      cyc cost.Cost_model.int_op;
+      State.add_cycles st cost.Cost_model.int_op;
       let v = Int64.add (read_int st 8 o) 1L in
       write_int st 8 o v;
       st.State.zf <- Int64.equal v 0L;
       st.State.sf <- Int64.compare v 0L < 0;
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Dec o ->
-      cyc cost.Cost_model.int_op;
+      State.add_cycles st cost.Cost_model.int_op;
       let v = Int64.sub (read_int st 8 o) 1L in
       write_int st 8 o v;
       st.State.zf <- Int64.equal v 0L;
       st.State.sf <- Int64.compare v 0L < 0;
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Neg o ->
-      cyc cost.Cost_model.int_op;
+      State.add_cycles st cost.Cost_model.int_op;
       let v = Int64.neg (read_int st 8 o) in
       write_int st 8 o v;
       st.State.zf <- Int64.equal v 0L;
       st.State.sf <- Int64.compare v 0L < 0;
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Push o ->
-      cyc cost.Cost_model.mem_op;
+      State.add_cycles st cost.Cost_model.mem_op;
       State.push64 st (read_int st 8 o);
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   | Isa.Pop o ->
-      cyc cost.Cost_model.mem_op;
+      State.add_cycles st cost.Cost_model.mem_op;
       let v = State.pop64 st in
       write_int st 8 o v;
-      advance ();
+      st.State.rip <- idx + 1;
       Running
   (* --- control flow --- *)
   | Isa.Jmp t ->
-      cyc cost.Cost_model.branch;
+      State.add_cycles st cost.Cost_model.branch;
       st.State.rip <- t;
       Running
   | Isa.Jcc (c, t) ->
-      cyc cost.Cost_model.branch;
-      if cond_holds st c then st.State.rip <- t else advance ();
+      State.add_cycles st cost.Cost_model.branch;
+      if cond_holds st c then st.State.rip <- t else st.State.rip <- idx + 1;
       Running
   | Isa.Call t ->
-      cyc cost.Cost_model.branch;
+      State.add_cycles st cost.Cost_model.branch;
       State.push64 st (Int64.of_int (idx + 1));
       st.State.rip <- t;
       Running
   | Isa.Ret ->
-      cyc cost.Cost_model.branch;
+      State.add_cycles st cost.Cost_model.branch;
       st.State.rip <- Int64.to_int (State.pop64 st);
       Running
   | Isa.Call_ext fn -> begin
-      cyc cost.Cost_model.call_ext;
+      State.add_cycles st cost.Cost_model.call_ext;
       let handled =
         match st.State.hooks.State.on_ext_call with
         | Some h -> h st fn
@@ -591,13 +589,13 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       if not handled then native_ext st fn;
       if st.State.halted then Halted
       else begin
-        advance ();
+        st.State.rip <- idx + 1;
         Running
       end
     end
   | Isa.Nop ->
-      cyc cost.Cost_model.int_op;
-      advance ();
+      State.add_cycles st cost.Cost_model.int_op;
+      st.State.rip <- idx + 1;
       Running
   | Isa.Halt ->
       st.State.halted <- true;
@@ -606,7 +604,7 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
   | Isa.Correctness_trap original ->
       Correctness_fault { index = idx; original }
   | Isa.Checked original -> begin
-      cyc cost.Cost_model.checked_stub;
+      State.add_cycles st cost.Cost_model.checked_stub;
       let handled =
         match st.State.hooks.State.on_checked with
         | Some h -> h st idx original
@@ -620,15 +618,15 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       else dispatch st idx original
     end
   | Isa.Free_hint o -> begin
-      cyc cost.Cost_model.int_op;
+      State.add_cycles st cost.Cost_model.int_op;
       (match st.State.hooks.State.on_free_hint with
       | Some h -> h st o
       | None -> ());
-      advance ();
+      st.State.rip <- idx + 1;
       Running
     end
   | Isa.Patched { site_id; original } -> begin
-      cyc cost.Cost_model.patch_check;
+      State.add_cycles st cost.Cost_model.patch_check;
       let handled =
         match st.State.hooks.State.on_patched with
         | Some h -> h st idx site_id original

@@ -5,7 +5,14 @@
    in round-to-nearest-even the softfloat result must be bit-identical to
    the hardware result (including NaN normalization for arithmetic on
    non-NaN inputs). Flags are checked with hand-built cases since the host
-   flags are unobservable (the very gap this library exists to fill). *)
+   flags are unobservable (the very gap this library exists to fill).
+
+   Soft64 answers most in-range round-to-nearest add/sub/mul/div/sqrt
+   from the host FPU, so on those operations "Soft64 matches hardware"
+   mostly checks the host against itself. [Exact] below is the software
+   kernel alone; the hardware oracles and the directed-rounding
+   brackets run against it too, and the fast-path differential checks
+   Soft64 against it on bits and flags in every rounding mode. *)
 
 open Ieee754
 
@@ -15,6 +22,13 @@ let flags_t = Alcotest.testable Flags.pp ( = )
 let bits = Int64.bits_of_float
 let fl = Int64.float_of_bits
 let rne = Softfp.Nearest_even
+
+module Exact = Softfp.Make (struct
+  let name = "binary64"
+  let width = 64
+  let exp_bits = 11
+  let man_bits = 52
+end)
 
 (* Interesting doubles: the special-value cross-product catches most
    corner-case bugs. *)
@@ -107,6 +121,14 @@ let nan_prop_tests =
         Alcotest.(check int64) "inf-inf" (bits (Float.infinity -. Float.infinity)) r2)
   ]
 
+(* The same hardware oracles, on the software kernel alone. *)
+let kernel_oracle_tests =
+  [ binop_oracle "kernel add" ( +. ) Exact.add;
+    binop_oracle "kernel sub" ( -. ) Exact.sub;
+    binop_oracle "kernel mul" ( *. ) Exact.mul;
+    binop_oracle "kernel div" ( /. ) Exact.div;
+    unop_oracle "kernel sqrt" Float.sqrt Exact.sqrt ]
+
 let oracle_tests =
   [ binop_oracle "add" ( +. ) Soft64.add;
     binop_oracle "sub" ( -. ) Soft64.sub;
@@ -167,24 +189,130 @@ let oracle_tests =
 
 (* Directed-rounding cross-checks: RUP result >= RNE result >= RDN result
    (as reals), and RTZ has the smallest magnitude. *)
+let bracket_add name add =
+  q name (QCheck.pair arb_double arb_double) (fun (a, b) ->
+      QCheck.assume (Float.is_finite (fl a) && Float.is_finite (fl b));
+      let r m = fl (fst (add m a b)) in
+      let up = r Softfp.Toward_pos
+      and dn = r Softfp.Toward_neg
+      and ne = r rne
+      and tz = r Softfp.Toward_zero in
+      QCheck.assume (Float.is_finite ne);
+      dn <= ne && ne <= up && Float.abs tz <= Float.abs up +. Float.abs dn)
+
+let rtz_below_rne name mul =
+  q name (QCheck.pair arb_double arb_double) (fun (a, b) ->
+      QCheck.assume (Float.is_finite (fl a) && Float.is_finite (fl b));
+      let ne = fl (fst (mul rne a b)) in
+      let tz = fl (fst (mul Softfp.Toward_zero a b)) in
+      QCheck.assume (Float.is_finite ne && not (Float.is_nan ne));
+      Float.abs tz <= Float.abs ne)
+
 let rounding_tests =
-  [ q "directed roundings bracket RNE (add)" (QCheck.pair arb_double arb_double)
-      (fun (a, b) ->
-        QCheck.assume (Float.is_finite (fl a) && Float.is_finite (fl b));
-        let r m = fl (fst (Soft64.add m a b)) in
-        let up = r Softfp.Toward_pos
-        and dn = r Softfp.Toward_neg
-        and ne = r rne
-        and tz = r Softfp.Toward_zero in
-        QCheck.assume (Float.is_finite ne);
-        dn <= ne && ne <= up && Float.abs tz <= Float.abs up +. Float.abs dn);
-    q "mul rtz magnitude <= rne magnitude" (QCheck.pair arb_double arb_double)
-      (fun (a, b) ->
-        QCheck.assume (Float.is_finite (fl a) && Float.is_finite (fl b));
-        let ne = fl (fst (Soft64.mul rne a b)) in
-        let tz = fl (fst (Soft64.mul Softfp.Toward_zero a b)) in
-        QCheck.assume (Float.is_finite ne && not (Float.is_nan ne));
-        Float.abs tz <= Float.abs ne) ]
+  [ bracket_add "directed roundings bracket RNE (add)" Soft64.add;
+    rtz_below_rne "mul rtz magnitude <= rne magnitude" Soft64.mul;
+    bracket_add "kernel: directed roundings bracket RNE (add)" Exact.add;
+    rtz_below_rne "kernel: mul rtz magnitude <= rne magnitude" Exact.mul ]
+
+(* ---- fast-path differential ---------------------------------------- *)
+
+(* Soft64 against the exact kernel, on result bits and flags, for the
+   five operations that have a host fast path, in all four rounding
+   modes (the directed ones must fall through to the kernel unchanged).
+   Operands are biased toward every boundary the fast path reasons
+   about: exponent fields 0, 1, 2 and 2045..2047, the window edges +-2,
+   all-zero and all-one mantissas, cancelling pairs (a, -a +- k ulp),
+   and products and quotients aimed at the window edges and at results
+   that round up to min_normal. *)
+let pack s e m =
+  Int64.logor
+    (Int64.shift_left (Int64.of_int s) 63)
+    (Int64.logor (Int64.shift_left (Int64.of_int e) 52)
+       (Int64.logand m 0xFFFFFFFFFFFFFL))
+
+let edge_exps =
+  List.concat_map
+    (fun e -> [ e - 2; e - 1; e; e + 1; e + 2 ])
+    [ Soft64.win_lo; Soft64.win_hi ]
+  @ [ 0; 1; 2; 2045; 2046; 2047; 1022; 1023; 1024 ]
+
+let gen_edge_double =
+  QCheck.Gen.(
+    let* s = int_bound 1 in
+    let* e = frequency [ (2, oneofl edge_exps); (1, int_bound 2047) ] in
+    let* m =
+      frequency
+        [ (1, return 0L);
+          (1, return 0xFFFFFFFFFFFFFL);
+          (3, map Int64.of_int (int_bound max_int));
+          (1, map Int64.of_int (int_bound 15));
+          (1, map (fun k -> Int64.sub 0xFFFFFFFFFFFFFL (Int64.of_int k)) (int_bound 15)) ]
+    in
+    return (pack s e m))
+
+(* b's exponent field chosen so that a op b lands near [target]. *)
+let gen_aimed ~quotient =
+  QCheck.Gen.(
+    let* ea = int_range 1 2046 in
+    let* target =
+      oneofl [ 1; Soft64.win_lo; Soft64.win_hi; 2046 ] >>= fun t ->
+      int_range (t - 2) (t + 2)
+    in
+    let eb = if quotient then ea + 1023 - target else target + 1023 - ea in
+    let* sa = int_bound 1 and* sb = int_bound 1 in
+    let* ma = oneof [ return 0xFFFFFFFFFFFFFL; map Int64.of_int (int_bound max_int) ] in
+    let* mb = oneof [ return 0L; map Int64.of_int (int_bound 15); map Int64.of_int (int_bound max_int) ] in
+    return (pack sa ea ma, pack sb (max 0 (min 2047 eb)) mb))
+
+let gen_edge_pair =
+  QCheck.Gen.(
+    frequency
+      [ (4, pair gen_edge_double gen_edge_double);
+        (2,
+         (* cancellation: a and -a +- k ulp *)
+         let* a = gen_edge_double and* k = int_range (-4) 4 in
+         return (a, Int64.add (Int64.logxor a Int64.min_int) (Int64.of_int k)));
+        (1,
+         let* a = gen_edge_double and* k = int_range (-4) 4 in
+         return (a, Int64.add a (Int64.of_int k)));
+        (2, gen_aimed ~quotient:false);
+        (1, gen_aimed ~quotient:true);
+        (1,
+         (* (2 - 2^-52 k) 2^(ea-1023) * 2^-ea: tiny before rounding,
+            min_normal after, for small k *)
+         let* ea = int_range 1 1022 and* k = int_bound 3 and* s = int_bound 1 in
+         return
+           (pack s ea (Int64.sub 0xFFFFFFFFFFFFFL (Int64.of_int k)),
+            pack 0 (1023 - ea) 0L)) ])
+
+let gen_mode =
+  QCheck.Gen.frequency
+    [ (4, QCheck.Gen.return rne);
+      (1, QCheck.Gen.return Softfp.Toward_zero);
+      (1, QCheck.Gen.return Softfp.Toward_pos);
+      (1, QCheck.Gen.return Softfp.Toward_neg) ]
+
+let arb_edge_case =
+  QCheck.make
+    ~print:(fun (m, (a, b)) ->
+      Format.asprintf "%a 0x%016Lx (%h) 0x%016Lx (%h)" Softfp.pp_rounding m a
+        (fl a) b (fl b))
+    QCheck.Gen.(pair gen_mode gen_edge_pair)
+
+let agree (r1, f1) (r2, f2) = Int64.equal r1 r2 && f1 = f2
+
+let fast_path_tests =
+  let count = 200_000 in
+  let bin name fast exact =
+    q ~count (name ^ " agrees with the exact kernel") arb_edge_case
+      (fun (m, (a, b)) -> agree (fast m a b) (exact m a b))
+  in
+  [ bin "add" Soft64.add Exact.add;
+    bin "sub" Soft64.sub Exact.sub;
+    bin "mul" Soft64.mul Exact.mul;
+    bin "div" Soft64.div Exact.div;
+    q ~count "sqrt agrees with the exact kernel" arb_edge_case
+      (fun (m, (a, _)) -> agree (Soft64.sqrt m a) (Exact.sqrt m a)) ]
 
 (* Flag semantics: hand-constructed cases. *)
 let flag_tests =
@@ -334,30 +462,38 @@ let mxcsr_tests =
 
 (* Exhaustive special-value cross products: every pair of specials through
    every binop must match the hardware. *)
+let matrix name add sub mul div =
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let check name hard soft =
+                let h = bits (hard a b) in
+                let s, _ = soft rne (bits a) (bits b) in
+                if not (same_result h s) then
+                  Alcotest.failf "%s %h %h: hw=%016Lx soft=%016Lx" name a b h s
+              in
+              check "add" ( +. ) add;
+              check "sub" ( -. ) sub;
+              check "mul" ( *. ) mul;
+              check "div" ( /. ) div)
+            specials)
+        specials)
+
 let special_matrix =
-  [ Alcotest.test_case "special-value matrix (add/sub/mul/div)" `Quick (fun () ->
-        List.iter
-          (fun a ->
-            List.iter
-              (fun b ->
-                let check name hard soft =
-                  let h = bits (hard a b) in
-                  let s, _ = soft rne (bits a) (bits b) in
-                  if not (same_result h s) then
-                    Alcotest.failf "%s %h %h: hw=%016Lx soft=%016Lx" name a b h s
-                in
-                check "add" ( +. ) Soft64.add;
-                check "sub" ( -. ) Soft64.sub;
-                check "mul" ( *. ) Soft64.mul;
-                check "div" ( /. ) Soft64.div)
-              specials)
-          specials) ]
+  [ matrix "special-value matrix (add/sub/mul/div)" Soft64.add Soft64.sub
+      Soft64.mul Soft64.div;
+    matrix "special-value matrix, exact kernel" Exact.add Exact.sub Exact.mul
+      Exact.div ]
 
 let () =
   Alcotest.run "ieee754"
     [ ("nan-propagation", nan_prop_tests);
       ("oracle", oracle_tests);
+      ("kernel-oracle", kernel_oracle_tests);
       ("rounding", rounding_tests);
+      ("fast-path", fast_path_tests);
       ("flags", flag_tests);
       ("classify", classify_tests);
       ("mxcsr", mxcsr_tests);
