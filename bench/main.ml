@@ -25,6 +25,31 @@ let printf = Printf.printf
 let hr title =
   printf "\n==== %s %s\n\n" title (String.make (max 1 (66 - String.length title)) '=')
 
+(* ---- BENCH sections: assertions and the file they write ------------------ *)
+
+(* A BENCH section counts every failed assertion here, then writes its
+   JSON file with [write_bench], which exits 1 if any failed. Running
+   the sections and byte-diffing the BENCH files against the committed
+   ones is the whole bench gate. *)
+let failures = ref 0
+
+let fail fmt =
+  Printf.ksprintf (fun s -> incr failures; printf "FAIL %s\n%!" s) fmt
+
+let check name ok =
+  printf "%-64s %s\n%!" name (if ok then "ok" else "FAIL");
+  if not ok then incr failures
+
+let write_bench file doc =
+  let oc = open_out file in
+  output_string oc doc;
+  close_out oc;
+  printf "\nwrote %s\n" file;
+  if !failures > 0 then begin
+    printf "%s: %d assertion(s) FAILED\n" file !failures;
+    exit 1
+  end
+
 (* ---- Bechamel helper: ns per run of a thunk ------------------------------ *)
 
 let measure_ns (pairs : (string * (unit -> unit)) list) : (string * float) list =
@@ -592,6 +617,7 @@ let bench_json () =
         let speedup =
           float_of_int (delivery ss) /. float_of_int (max 1 (delivery so))
         in
+        if not identical then fail "%s: traced run differs from seed" name;
         printf "%-12s delivery %9d -> %9d cycles (%.2fx)  traps %6d -> %6d  \
                 mean trace %.1f  identical=%b\n"
           name (delivery ss) (delivery so) speedup ss.Fpvm.Stats.fp_traps
@@ -663,10 +689,7 @@ let bench_json () =
       (String.concat ",\n" trace_rows)
       (String.concat ",\n" gc_rows)
   in
-  let oc = open_out "BENCH_overhead.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_overhead.json\n"
+  write_bench "BENCH_overhead.json" doc
 
 (* ---- record/replay: overhead, checkpoint cost, determinism --------------- *)
 
@@ -674,12 +697,13 @@ let bench_json () =
    (modeled cycles must be *identical* — the probe layer charges
    nothing — and host wall-clock overhead is reported honestly),
    record->replay determinism, and checkpoint size/latency on lorenz.
-   Writes BENCH_replay.json. *)
+   The wall-clock columns differ from run to run, so this section
+   prints its table and writes no BENCH file. *)
 
 module RS = Replay.Session.Make (Fpvm.Alt_mpfr)
 
 let bench_replay () =
-  hr "BENCH_replay.json: record/replay overhead + checkpoint cost";
+  hr "Record/replay overhead + checkpoint cost";
   let config = cfg () in
   let meta_of name =
     { Replay.Log.workload = name; scale = "test"; arith = "mpfr:200";
@@ -702,53 +726,40 @@ let bench_replay () =
     in
     (r, List.nth ts 2)
   in
-  let rows =
-    List.map
-      (fun name ->
-        let e = get name in
-        let prog = e.W.program W.Test in
-        let plain, t_plain = median3 (fun () -> RS.E.run ~config prog) in
-        let rec_, t_rec =
-          median3 (fun () ->
-              RS.record ~checkpoint_every:0 ~meta:(meta_of name) ~config prog)
-        in
-        let r = rec_.Replay.Session.result in
-        let cycles_identical =
-          r.Fpvm.Engine.cycles = plain.Fpvm.Engine.cycles
-          && Fpvm.Stats.fingerprint r.Fpvm.Engine.stats
-             = Fpvm.Stats.fingerprint plain.Fpvm.Engine.stats
-        in
-        let replay_ok =
-          match RS.replay ~config rec_.Replay.Session.log prog with
-          | Replay.Session.Match rr ->
-              rr.Fpvm.Engine.output = r.Fpvm.Engine.output
-              && rr.Fpvm.Engine.serialized = r.Fpvm.Engine.serialized
-          | Replay.Session.Diverged _ -> false
-        in
-        let events = Array.length rec_.Replay.Session.log.Replay.Log.events in
-        let bytes = String.length rec_.Replay.Session.log_bytes in
-        let wall_ovh = 100.0 *. (t_rec -. t_plain) /. t_plain in
-        let us_per_event =
-          1e6 *. (t_rec -. t_plain) /. float_of_int (max 1 events)
-        in
-        printf "%-12s %6d events %8d B  cycles identical=%b  replay=%b  \
-                wall %+.1f%% (%.1f us/event)\n"
-          name events bytes cycles_identical replay_ok wall_ovh us_per_event;
-        assert cycles_identical;
-        assert replay_ok;
-        Printf.sprintf
-          "    { \"workload\": \"%s\", \"events\": %d, \"log_bytes\": %d,\n\
-           \      \"modeled_cycles_plain\": %d, \"modeled_cycles_record\": %d,\n\
-           \      \"cycle_overhead_pct\": %.3f, \"wall_overhead_pct\": %.1f,\n\
-           \      \"replay_matched\": %b }"
-          (json_escape name) events bytes plain.Fpvm.Engine.cycles
-          r.Fpvm.Engine.cycles
-          (100.0
-          *. float_of_int (r.Fpvm.Engine.cycles - plain.Fpvm.Engine.cycles)
-          /. float_of_int plain.Fpvm.Engine.cycles)
-          wall_ovh replay_ok)
-      workloads_fig9
-  in
+  List.iter
+    (fun name ->
+      let e = get name in
+      let prog = e.W.program W.Test in
+      let plain, t_plain = median3 (fun () -> RS.E.run ~config prog) in
+      let rec_, t_rec =
+        median3 (fun () ->
+            RS.record ~checkpoint_every:0 ~meta:(meta_of name) ~config prog)
+      in
+      let r = rec_.Replay.Session.result in
+      let cycles_identical =
+        r.Fpvm.Engine.cycles = plain.Fpvm.Engine.cycles
+        && Fpvm.Stats.fingerprint r.Fpvm.Engine.stats
+           = Fpvm.Stats.fingerprint plain.Fpvm.Engine.stats
+      in
+      let replay_ok =
+        match RS.replay ~config rec_.Replay.Session.log prog with
+        | Replay.Session.Match rr ->
+            rr.Fpvm.Engine.output = r.Fpvm.Engine.output
+            && rr.Fpvm.Engine.serialized = r.Fpvm.Engine.serialized
+        | Replay.Session.Diverged _ -> false
+      in
+      let events = Array.length rec_.Replay.Session.log.Replay.Log.events in
+      let bytes = String.length rec_.Replay.Session.log_bytes in
+      let wall_ovh = 100.0 *. (t_rec -. t_plain) /. t_plain in
+      let us_per_event =
+        1e6 *. (t_rec -. t_plain) /. float_of_int (max 1 events)
+      in
+      printf "%-12s %6d events %8d B  cycles identical=%b  replay=%b  \
+              wall %+.1f%% (%.1f us/event)\n"
+        name events bytes cycles_identical replay_ok wall_ovh us_per_event;
+      assert cycles_identical;
+      assert replay_ok)
+    workloads_fig9;
   (* checkpoint cost on lorenz: record with and without checkpoints;
      the time delta over the checkpoint count is the per-checkpoint
      serialization latency. A mid-run checkpoint must restore and
@@ -783,33 +794,7 @@ let bench_replay () =
     n total_bytes
     (float_of_int total_bytes /. float_of_int (max 1 n))
     lat_us mid_seq resume_identical;
-  assert resume_identical;
-  let doc =
-    Printf.sprintf
-      "{\n\
-       \  \"schema_version\": 1,\n\
-       \  \"experiment\": \"deterministic record/replay + checkpoint/restore\",\n\
-       \  \"arithmetic\": \"mpfr-200\",\n\
-       \  \"config\": { \"approach\": \"trap_and_emulate\", \
-       \"max_trace_len\": 64, \"incremental_gc\": true },\n\
-       \  \"note\": \"modeled cycles are the acceptance metric: the probe \
-       layer charges no cycles, so recording overhead in the simulated \
-       machine is exactly 0; wall_overhead_pct is the host-side cost of \
-       digesting and serializing events\",\n\
-       \  \"recording\": [\n%s\n  ],\n\
-       \  \"checkpoints\": { \"workload\": \"lorenz\", \"every\": 50, \
-       \"count\": %d, \"total_bytes\": %d, \"avg_bytes\": %.0f, \
-       \"avg_latency_us\": %.1f, \"mid_run_restore_identical\": %b }\n\
-       }\n"
-      (String.concat ",\n" rows)
-      n total_bytes
-      (float_of_int total_bytes /. float_of_int (max 1 n))
-      lat_us resume_identical
-  in
-  let oc = open_out "BENCH_replay.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "wrote BENCH_replay.json\n"
+  assert resume_identical
 
 (* ---- BENCH_vsa.json: precision-tiered static analysis ------------------- *)
 
@@ -825,7 +810,6 @@ let bench_replay () =
 let bench_vsa () =
   hr "BENCH_vsa.json: precision-tiered static analysis";
   let strict_names = [ "NAS CG"; "NAS MG"; "Enzo(astro)" ] in
-  let failures = ref 0 in
   printf "%-12s %22s %22s %9s %8s\n" "workload" "legacy sinks/proven"
     "tiered sinks/proven" "identical" "oracle";
   let rows =
@@ -844,7 +828,7 @@ let bench_vsa () =
           rv.Fpvm.Engine.output = native.Fpvm.Engine.output
           && rv.Fpvm.Engine.serialized = native.Fpvm.Engine.serialized
         in
-        if not identical then incr failures;
+        if not identical then fail "%s: output differs from native" e.W.name;
         (* (3) oracle under mpfr, both GC modes *)
         let oracle_violations inc =
           let c = { (cfg ~incremental_gc:inc ()) with Fpvm.Engine.oracle = true } in
@@ -852,19 +836,17 @@ let bench_vsa () =
           r.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads
         in
         let viol = oracle_violations true + oracle_violations false in
-        if viol > 0 then incr failures;
+        if viol > 0 then fail "%s: oracle saw %d boxed loads" e.W.name viol;
         (* (1) strict precision improvement on the array workloads *)
         let strict = List.mem e.W.name strict_names in
         if
           strict
           && p.Analysis.Pipeline.proven_safe_loads
              <= l.Analysis.Legacy.proven_safe_loads
-        then begin
-          incr failures;
-          printf "FAIL %s: tiered proved %d, legacy %d (strict improvement required)\n"
+        then
+          fail "%s: tiered proved %d, legacy %d (strict improvement required)"
             e.W.name p.Analysis.Pipeline.proven_safe_loads
-            l.Analysis.Legacy.proven_safe_loads
-        end;
+            l.Analysis.Legacy.proven_safe_loads;
         printf "%-12s %12d / %-7d %12d / %-7d %9b %8s\n%!" e.W.name lsinks
           l.Analysis.Legacy.proven_safe_loads nsinks
           p.Analysis.Pipeline.proven_safe_loads identical
@@ -897,23 +879,18 @@ let bench_vsa () =
        \  \"workloads\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" rows)
   in
-  let oc = open_out "BENCH_vsa.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_vsa.json\n";
-  if !failures > 0 then begin
-    printf "vsa experiment: %d assertion(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_bench "BENCH_vsa.json" doc
 
 (* ---- BENCH_plans.json: site-specialized emulation ------------------------ *)
 
 (* Evidence for the binding-plan cache + shadow-temp elision, with four
-   hard assertions (the CI ratchet):
-   (1) plan hit rate >= 95% on NAS CG, NAS MG and Enzo(astro), over
-       plan-served emulations (table hits plus JIT fused steps);
+   hard assertions (the ratchet):
+   (1) plan hit rate >= plans_min_hit_pct on NAS CG, NAS MG and
+       Enzo(astro), over plan-served emulations (table hits plus JIT
+       fused steps);
    (2) arena allocations strictly decrease with plans on (elision);
-   (3) modeled bind + op_map-dispatch cycles drop >= 3x vs --no-plans;
+   (3) modeled bind + op_map-dispatch cycles drop by a factor of at
+       least plans_min_bind_reduction vs --no-plans;
    (4) outputs bit-identical, plans on vs off, across all five
        arithmetic ports and both GC modes, and the soundness oracle
        stays clean with elision active. *)
@@ -934,10 +911,37 @@ let five_ports :
     ("interval", fun c p -> out (E_interval.run ~config:c p));
     ("slash", fun c p -> out (E_slash.run ~config:c p)) ]
 
+(* The on/off differential: every (name, program) must give the same
+   output and serialized state under [on inc] and [off inc], on every
+   port of [five_ports] and in both GC modes. *)
+let differential what progs on off =
+  printf "\ndifferential (%s on == off), 5 ports x 2 GC modes:\n" what;
+  let ok = ref true in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun (pname, run) ->
+          List.iter
+            (fun inc ->
+              let a = run (on inc) prog in
+              if a <> run (off inc) prog then begin
+                ok := false;
+                fail "%s/%s/gc=%s: outputs differ %s on vs off" name pname
+                  (if inc then "incremental" else "full")
+                  what
+              end)
+            [ true; false ])
+        five_ports)
+    progs;
+  printf "  all bit-identical: %b\n" !ok;
+  !ok
+
+let plans_min_hit_pct = 95.0
+let plans_min_bind_reduction = 3.0
+
 let bench_plans () =
   hr "BENCH_plans.json: binding-plan cache + shadow-temp elision";
   let strict_names = [ "NAS CG"; "NAS MG"; "Enzo(astro)" ] in
-  let failures = ref 0 in
   let bind_disp (s : Fpvm.Stats.t) =
     s.Fpvm.Stats.cyc_bind + s.Fpvm.Stats.cyc_emu_dispatch
   in
@@ -966,33 +970,24 @@ let bench_plans () =
         let ratio =
           float_of_int (bind_disp soff) /. float_of_int (max 1 (bind_disp son))
         in
-        (* (1) hit rate; (2) strict allocation decrease; (3) >= 3x *)
-        if hr_ < 95.0 then begin
-          incr failures;
-          printf "FAIL %s: plan hit rate %.2f%% < 95%%\n" name hr_
-        end;
+        (* (1) hit rate; (2) strict allocation decrease; (3) reduction *)
+        if hr_ < plans_min_hit_pct then
+          fail "%s: plan hit rate %.2f%% < %.1f%%" name hr_ plans_min_hit_pct;
         if son.Fpvm.Stats.boxes_allocated >= soff.Fpvm.Stats.boxes_allocated
-        then begin
-          incr failures;
-          printf "FAIL %s: arena allocations %d (plans) !< %d (no plans)\n"
-            name son.Fpvm.Stats.boxes_allocated
-            soff.Fpvm.Stats.boxes_allocated
-        end;
-        if ratio < 3.0 then begin
-          incr failures;
-          printf "FAIL %s: bind+dispatch only dropped %.2fx (< 3x)\n" name
-            ratio
-        end;
+        then
+          fail "%s: arena allocations %d (plans) !< %d (no plans)" name
+            son.Fpvm.Stats.boxes_allocated soff.Fpvm.Stats.boxes_allocated;
+        if ratio < plans_min_bind_reduction then
+          fail "%s: bind+dispatch only dropped %.2fx (< %.1fx)" name ratio
+            plans_min_bind_reduction;
         (* (4a) oracle clean with elision active *)
         let oc =
           { (cfg ~max_trace_len:256 ()) with Fpvm.Engine.oracle = true }
         in
         let ro = E_mpfr.run ~config:oc prog in
         let viol = ro.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads in
-        if viol > 0 then begin
-          incr failures;
-          printf "FAIL %s: oracle saw %d boxed loads with plans on\n" name viol
-        end;
+        if viol > 0 then
+          fail "%s: oracle saw %d boxed loads with plans on" name viol;
         printf "%-12s %8.2f%% %13dc %13dc %8.1fx %5d->%d\n%!" name hr_
           (bind_disp soff) (bind_disp son) ratio
           soff.Fpvm.Stats.boxes_allocated son.Fpvm.Stats.boxes_allocated;
@@ -1018,38 +1013,13 @@ let bench_plans () =
           ron.Fpvm.Engine.cycles viol)
       strict_names
   in
-  (* (4b) bit-identical outputs, plans on vs off: all five arithmetic
-     ports, both GC modes, every workload. *)
-  printf "\ndifferential (plans on == off), 5 ports x 2 GC modes:\n";
-  let differential_ok = ref true in
-  List.iter
-    (fun name ->
-      let e = get name in
-      let prog = e.W.program W.Test in
-      List.iter
-        (fun (pname, run) ->
-          List.iter
-            (fun inc ->
-              let on =
-                run (cfg ~incremental_gc:inc ~max_trace_len:256 ()) prog
-              in
-              let off =
-                run
-                  (cfg ~incremental_gc:inc ~max_trace_len:256
-                     ~use_plans:false ())
-                  prog
-              in
-              if on <> off then begin
-                differential_ok := false;
-                incr failures;
-                printf "FAIL %s/%s/gc=%s: outputs differ plans on vs off\n"
-                  name pname
-                  (if inc then "incremental" else "full")
-              end)
-            [ true; false ])
-        five_ports)
-    strict_names;
-  printf "  all bit-identical: %b\n" !differential_ok;
+  (* (4b) bit-identical outputs, plans on vs off *)
+  let differential_ok =
+    differential "plans"
+      (List.map (fun n -> (n, (get n).W.program W.Test)) strict_names)
+      (fun inc -> cfg ~incremental_gc:inc ~max_trace_len:256 ())
+      (fun inc -> cfg ~incremental_gc:inc ~max_trace_len:256 ~use_plans:false ())
+  in
   (* per-profile bind+dispatch share, for EXPERIMENTS.md *)
   printf "\nper-profile bind+dispatch share of FPVM cycles (NAS CG):\n";
   let profile_rows =
@@ -1090,25 +1060,19 @@ let bench_plans () =
        \  \"arithmetic\": \"mpfr-200\",\n\
        \  \"scale\": \"test\",\n\
        \  \"max_trace_len\": 256,\n\
-       \  \"ratchet\": { \"plan_hit_rate_min_pct\": 95.0, \
-       \"bind_dispatch_reduction_min\": 3.0, \
+       \  \"ratchet\": { \"plan_hit_rate_min_pct\": %.1f, \
+       \"bind_dispatch_reduction_min\": %.1f, \
        \"arena_allocs_strictly_reduced\": true },\n\
        \  \"workloads\": [\n%s\n  ],\n\
        \  \"differential_bit_identical\": %b,\n\
        \  \"profile_bind_dispatch\": [\n%s\n  ]\n\
        }\n"
+      plans_min_hit_pct plans_min_bind_reduction
       (String.concat ",\n" rows)
-      !differential_ok
+      differential_ok
       (String.concat ",\n" profile_rows)
   in
-  let oc = open_out "BENCH_plans.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_plans.json\n";
-  if !failures > 0 then begin
-    printf "plans experiment: %d assertion(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_bench "BENCH_plans.json" doc
 
 (* ---- BENCH_telemetry.json: observability subsystem ----------------------- *)
 
@@ -1153,11 +1117,6 @@ module T_slash = Tele (Fpvm.Alt_slash)
 
 let bench_telemetry () =
   hr "BENCH_telemetry.json: tracing + hot-site profiles + shadow check";
-  let failures = ref 0 in
-  let check name ok =
-    printf "%-64s %s\n%!" name (if ok then "ok" else "FAIL");
-    if not ok then incr failures
-  in
   let lorenz = (get "lorenz").W.program W.Test in
   let ports =
     [ ("vanilla", T_vanilla.run);
@@ -1295,31 +1254,27 @@ let bench_telemetry () =
       err_vanilla err_mpfr8 trace_stats
       (String.concat ",\n" hot_rows)
   in
-  let oc = open_out "BENCH_telemetry.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_telemetry.json\n";
-  if !failures > 0 then begin
-    printf "telemetry experiment: %d assertion(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_bench "BENCH_telemetry.json" doc
 
 (* ---- BENCH_jit.json: trace JIT superblocks ------------------------------- *)
 
 (* Evidence for the trace JIT: per-iteration window cost (interpretive
    trace stepping + per-visit bind/dispatch + compiled stepping) drops
-   at least 2x at steady state against the plans-only engine on at
-   least 3 workloads, and the program-visible results stay
-   bit-identical on every arithmetic port and both GC modes.
+   by at least jit_min_reduction at steady state against the
+   plans-only engine on at least jit_min_workloads workloads, and the
+   program-visible results stay bit-identical on every arithmetic port
+   and both GC modes.
 
    Steady state is measured as the marginal cost of doubling the
    iteration count: cost(2N) - cost(N) cancels the shared warmup
    (compiles, cold plan misses, recording windows), leaving N
    iterations of hot-loop execution only. *)
 
+let jit_min_reduction = 2.0
+let jit_min_workloads = 3
+
 let bench_jit () =
   hr "BENCH_jit.json: guarded IR superblocks with trace linking";
-  let failures = ref 0 in
   let window_cost (s : Fpvm.Stats.t) =
     s.Fpvm.Stats.cyc_trace + s.Fpvm.Stats.cyc_bind
     + s.Fpvm.Stats.cyc_emu_dispatch + s.Fpvm.Stats.cyc_jit
@@ -1354,11 +1309,9 @@ let bench_jit () =
         let per_off = float_of_int moff /. float_of_int iters
         and per_on = float_of_int mon /. float_of_int iters in
         let ratio = per_off /. Float.max 1.0 per_on in
-        if ratio >= 2.0 then incr passed;
-        if son.Fpvm.Stats.jit_hits = 0 then begin
-          incr failures;
-          printf "FAIL %s: jit never hit a compiled block\n" name
-        end;
+        if ratio >= jit_min_reduction then incr passed;
+        if son.Fpvm.Stats.jit_hits = 0 then
+          fail "%s: jit never hit a compiled block" name;
         printf "%-12s %13.1fc %13.1fc %8.2fx %13d/%d/%d/%d\n%!" name per_off
           per_on ratio son.Fpvm.Stats.jit_compiles son.Fpvm.Stats.jit_hits
           son.Fpvm.Stats.jit_links son.Fpvm.Stats.jit_guard_exits;
@@ -1374,38 +1327,16 @@ let bench_jit () =
           son.Fpvm.Stats.jit_invalidations son.Fpvm.Stats.cyc_jit)
       subjects
   in
-  if !passed < 3 then begin
-    incr failures;
-    printf "FAIL: only %d workload(s) reached the 2x ratchet (need 3)\n"
-      !passed
-  end;
-  (* bit-identical outputs, jit on vs off: all five arithmetic ports,
-     both GC modes, every registered workload *)
-  printf "\ndifferential (jit on == off), 5 ports x 2 GC modes:\n";
-  let differential_ok = ref true in
-  List.iter
-    (fun (e : W.entry) ->
-      let prog = e.W.program W.Test in
-      List.iter
-        (fun (pname, run) ->
-          List.iter
-            (fun inc ->
-              let on =
-                run (cfg ~incremental_gc:inc ~use_jit:true ~jit_threshold:2 ())
-                  prog
-              in
-              let off = run (cfg ~incremental_gc:inc ~use_jit:false ()) prog in
-              if on <> off then begin
-                differential_ok := false;
-                incr failures;
-                printf "FAIL %s/%s/gc=%s: outputs differ jit on vs off\n"
-                  e.W.name pname
-                  (if inc then "incremental" else "full")
-              end)
-            [ true; false ])
-        five_ports)
-    W.all;
-  printf "  all bit-identical: %b\n" !differential_ok;
+  if !passed < jit_min_workloads then
+    fail "only %d workload(s) reached the %.1fx ratchet (need %d)" !passed
+      jit_min_reduction jit_min_workloads;
+  (* bit-identical outputs, jit on vs off, every registered workload *)
+  let differential_ok =
+    differential "jit"
+      (List.map (fun (e : W.entry) -> (e.W.name, e.W.program W.Test)) W.all)
+      (fun inc -> cfg ~incremental_gc:inc ~use_jit:true ~jit_threshold:2 ())
+      (fun inc -> cfg ~incremental_gc:inc ~use_jit:false ())
+  in
   let doc =
     Printf.sprintf
       "{\n\
@@ -1419,23 +1350,17 @@ let bench_jit () =
        \  \"max_trace_len\": 64,\n\
        \  \"method\": \"steady state = (cost(2N) - cost(N)) / N; window cost \
        = cyc_trace + cyc_bind + cyc_emu_dispatch + cyc_jit\",\n\
-       \  \"ratchet\": { \"window_cycle_reduction_min\": 2.0, \
-       \"min_workloads\": 3 },\n\
+       \  \"ratchet\": { \"window_cycle_reduction_min\": %.1f, \
+       \"min_workloads\": %d },\n\
        \  \"workloads\": [\n%s\n  ],\n\
        \  \"workloads_at_2x\": %d,\n\
        \  \"differential_bit_identical\": %b\n\
        }\n"
+      jit_min_reduction jit_min_workloads
       (String.concat ",\n" rows)
-      !passed !differential_ok
+      !passed differential_ok
   in
-  let oc = open_out "BENCH_jit.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_jit.json\n";
-  if !failures > 0 then begin
-    printf "jit experiment: %d assertion(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_bench "BENCH_jit.json" doc
 
 (* ---- fleet serving: domain scaling + per-guest bit-identity ---------------------------------------- *)
 
@@ -1445,15 +1370,19 @@ let bench_jit () =
    and 4 domains, the 2/4-domain partitions weighted by the per-guest
    cycles measured in the 1-domain run (the LPT profiling pass).
    Throughput is modeled-cycle makespan (worst domain's guest cycles +
-   switch charges); ratchet: >= 3.0x at 4 domains vs 1.
+   switch charges). Guest cycles are cold-equivalent
+   (Fleet.cold_cycles), so no figure depends on which domain published
+   a shared superblock first.
 
    Identity: 5 arithmetic ports x 2 GC modes on lorenz, served at 2
    domains, every guest's stats fingerprint and output compared
    bit-for-bit against Fleet.run_solo (== fpvm_run solo). *)
 
+(* ratchet: makespan speedup at 4 domains against 1 *)
+let fleet_min_scaling = 3.0
+
 let bench_fleet () =
   hr "BENCH_fleet.json: fleet serving across domains";
-  let failures = ref 0 in
   let mpfr_guest i workload =
     { Fleet.g_id = i; g_workload = workload; g_scale = W.Test;
       g_port = Fleet.Port.Mpfr 200;
@@ -1466,7 +1395,7 @@ let bench_fleet () =
   let batch = 8 in
   let f1 = Fleet.serve ~domains:1 ~batch scaling_guests in
   let weights =
-    Array.of_list (List.map (fun r -> r.Fleet.r_cycles) f1.Fleet.f_results)
+    Array.of_list (List.map Fleet.cold_cycles f1.Fleet.f_results)
   in
   let runs =
     (1, f1)
@@ -1487,11 +1416,9 @@ let bench_fleet () =
         (* fleet results must not depend on how many domains served them *)
         List.iter2
           (fun (a : Fleet.guest_result) (b : Fleet.guest_result) ->
-            if a.Fleet.r_fingerprint <> b.Fleet.r_fingerprint then begin
-              incr failures;
-              printf "FAIL guest %d: fingerprint differs at %d domains\n"
-                a.Fleet.r_guest.Fleet.g_id d
-            end)
+            if a.Fleet.r_fingerprint <> b.Fleet.r_fingerprint then
+              fail "guest %d: fingerprint differs at %d domains"
+                a.Fleet.r_guest.Fleet.g_id d)
           f1.Fleet.f_results f.Fleet.f_results;
         Printf.sprintf
           "    { \"domains\": %d, \"makespan\": %d, \"scaling\": %.3f, \
@@ -1505,10 +1432,8 @@ let bench_fleet () =
     | Some f -> float_of_int f1.Fleet.f_makespan /. float_of_int f.Fleet.f_makespan
     | None -> 0.0
   in
-  if scaling4 < 3.0 then begin
-    incr failures;
-    printf "FAIL: %.2fx at 4 domains (ratchet 3.0x)\n" scaling4
-  end;
+  if scaling4 < fleet_min_scaling then
+    fail "%.2fx at 4 domains (ratchet %.1fx)" scaling4 fleet_min_scaling;
   (* identity fleet: every port, both GC modes, vs solo *)
   let ports =
     [ Fleet.Port.Vanilla; Fleet.Port.Mpfr 200; Fleet.Port.Posit 32;
@@ -1542,24 +1467,21 @@ let bench_fleet () =
           && solo.Fpvm.Engine.output = r.Fleet.r_output
           && solo.Fpvm.Engine.serialized = r.Fleet.r_serialized
         in
+        let gc =
+          if r.Fleet.r_guest.Fleet.g_config.Fpvm.Engine.incremental_gc then
+            "inc"
+          else "full"
+        in
         if ok then incr identical
-        else begin
-          incr failures;
-          printf "FAIL guest %d (%s, gc=%s): fleet != solo\n"
-            r.Fleet.r_guest.Fleet.g_id
+        else
+          fail "guest %d (%s, gc=%s): fleet != solo" r.Fleet.r_guest.Fleet.g_id
             (Fleet.guest_arith r.Fleet.r_guest)
-            (if r.Fleet.r_guest.Fleet.g_config.Fpvm.Engine.incremental_gc then
-               "inc"
-             else "full")
-        end;
+            gc;
         Printf.sprintf
           "    { \"arith\": \"%s\", \"gc\": \"%s\", \"domain\": %d, \
            \"cycles\": %d, \"bit_identical_to_solo\": %b }"
           (json_escape (Fleet.guest_arith r.Fleet.r_guest))
-          (if r.Fleet.r_guest.Fleet.g_config.Fpvm.Engine.incremental_gc then
-             "inc"
-           else "full")
-          r.Fleet.r_domain r.Fleet.r_cycles ok)
+          gc r.Fleet.r_domain (Fleet.cold_cycles r) ok)
       fid.Fleet.f_results
   in
   printf "  %d/%d guests bit-identical to their solo runs\n" !identical
@@ -1573,13 +1495,13 @@ let bench_fleet () =
        \  \"experiment\": \"fleet serving: guest fleets co-scheduled across \
        OCaml domains with a shared VSA fact store and batched trap \
        delivery\",\n\
-       \  \"metric\": \"modeled-cycle makespan: max over domains of (guest \
-       cycles + switches * switch_cost)\",\n\
+       \  \"metric\": \"modeled-cycle makespan: max over domains of \
+       (cold-equivalent guest cycles + switches * switch_cost)\",\n\
        \  \"switch_cost\": %d,\n\
        \  \"batch\": %d,\n\
        \  \"scaling_fleet\": \"4x lorenz mpfr-200 + 4x NAS CG mpfr-200, LPT \
        weighted by measured 1-domain cycles\",\n\
-       \  \"ratchet\": { \"scaling_at_4_domains_min\": 3.0 },\n\
+       \  \"ratchet\": { \"scaling_at_4_domains_min\": %.1f },\n\
        \  \"scaling\": [\n%s\n  ],\n\
        \  \"scaling_at_4_domains\": %.3f,\n\
        \  \"identity_fleet\": \"5 ports x 2 GC modes on lorenz at 2 \
@@ -1589,7 +1511,7 @@ let bench_fleet () =
        \  \"identity_guests\": %d,\n\
        \  \"failures\": %d\n\
        }\n"
-      Fleet.default_switch_cost batch
+      Fleet.default_switch_cost batch fleet_min_scaling
       (String.concat ",\n" scaling_rows)
       scaling4
       (String.concat ",\n" identity_rows)
@@ -1597,14 +1519,7 @@ let bench_fleet () =
       (List.length fid.Fleet.f_results)
       !failures
   in
-  let oc = open_out "BENCH_fleet.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_fleet.json\n";
-  if !failures > 0 then begin
-    printf "fleet experiment: %d assertion(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_bench "BENCH_fleet.json" doc
 
 (* ---- BENCH_fpa.json: FP special-value analysis --------------------------- *)
 
@@ -1624,9 +1539,14 @@ let bench_fleet () =
    subnormal raw input at a statically-proven-clean site — fires zero
    times across every workload x 5 arithmetic ports x both GC modes. *)
 
+(* An arithmetic port by its fpvm_run name, at the bench's precisions. *)
+let port_of arith =
+  match Fleet.Port.of_flags ~arith ~prec:200 ~posit:32 with
+  | Ok p -> p
+  | Error m -> failwith m
+
 let bench_fpa () =
   hr "BENCH_fpa.json: static FP special-value analysis";
-  let failures = ref 0 in
   (* static precision table *)
   printf "%-12s %7s %9s %10s %7s\n" "workload" "sites" "sub-free" "born-free"
     "proven";
@@ -1649,11 +1569,7 @@ let bench_fpa () =
   (* consumer gauges + differential, per workload on the mpfr port
      (the jit bench's arithmetic), jit_threshold 2 so Test-scale
      workloads get hot *)
-  let driver_of arith =
-    match Fleet.Port.of_flags ~arith ~prec:200 ~posit:32 with
-    | Ok p -> Fleet.port_driver p
-    | Error m -> failwith m
-  in
+  let driver_of arith = Fleet.port_driver (port_of arith) in
   let instrumented_run d ~oracle ~use_fpa ?(incremental_gc = true)
       (prog : Machine.Program.t) =
     let a = Fpvm.Vsa.analyze prog in
@@ -1690,9 +1606,8 @@ let bench_fpa () =
           on.Fpvm.Engine.output <> off.Fpvm.Engine.output
           || on.Fpvm.Engine.serialized <> off.Fpvm.Engine.serialized
         then begin
-          incr failures;
           diff_ok := false;
-          printf "FAIL %s: outputs differ with fpa on vs off\n" e.W.name
+          fail "%s: outputs differ with fpa on vs off" e.W.name
         end;
         let s = on.Fpvm.Engine.stats in
         let share =
@@ -1716,16 +1631,11 @@ let bench_fpa () =
           s.Fpvm.Stats.fpa_sites_proven)
       W.all
   in
-  if !best_share <= 0.0 then begin
-    incr failures;
-    printf
-      "FAIL: no workload fused a strictly positive unguarded share (fpa-off \
-       baseline is 0)\n"
-  end;
-  if !best_elided <= 0 then begin
-    incr failures;
-    printf "FAIL: no workload elided any shadow checks\n"
-  end;
+  if !best_share <= 0.0 then
+    fail
+      "no workload fused a strictly positive unguarded share (fpa-off \
+       baseline is 0)";
+  if !best_elided <= 0 then fail "no workload elided any shadow checks";
   (* soundness oracle matrix: every workload x 5 ports x 2 GC modes *)
   printf "\nsoundness oracle, 5 ports x 2 GC modes: %!";
   let violations = ref 0 and runs = ref 0 in
@@ -1748,9 +1658,8 @@ let bench_fpa () =
                 || s.Fpvm.Stats.fpa_nan_violations > 0
               then begin
                 incr violations;
-                incr failures;
-                printf "\nFAIL %s/%s/gc=%s: %d sub / %d nan-inf violations"
-                  e.W.name arith
+                fail "%s/%s/gc=%s: %d sub / %d nan-inf violations" e.W.name
+                  arith
                   (if incremental_gc then "incremental" else "full")
                   s.Fpvm.Stats.fpa_sub_violations
                   s.Fpvm.Stats.fpa_nan_violations
@@ -1781,14 +1690,7 @@ let bench_fpa () =
       (String.concat ",\n" consume_rows)
       !best_share !best_elided !diff_ok !runs !violations
   in
-  let oc = open_out "BENCH_fpa.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_fpa.json\n";
-  if !failures > 0 then begin
-    printf "fpa experiment: %d assertion(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_bench "BENCH_fpa.json" doc
 
 (* ---- main ------------------------------------------------------------------------------------------ *)
 
@@ -1799,32 +1701,28 @@ let bench_fpa () =
    session's artifact store from disk and claims every block as
    [`Shared], moving the charge into the fingerprint-excluded
    cyc_compile_shared bucket. Ratchets:
-   - warm eliminates >= 95% of cold cyc_jit on >= 3 workloads;
+   - warm eliminates >= cache_min_elim_pct of cold cyc_jit on >=
+     cache_min_workloads workloads;
    - an 8-duplicate-guest fleet publishes (charges) each superblock
      exactly once — the other 7 guests share;
    - warm == cold bit-identity (output, serialized state, 42-field
      fingerprint) on all five arithmetic ports and both GC modes. *)
 
+let cache_min_elim_pct = 95.0
+let cache_min_workloads = 3
+
 let bench_cache () =
   hr "BENCH_cache.json: persistent compilation-artifact cache";
-  let failures = ref 0 in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "fpvm-bench-cache-%d" (Unix.getpid ()))
   in
-  let port flags =
-    match flags with
-    | arith -> (
-        match Fleet.Port.of_flags ~arith ~prec:200 ~posit:32 with
-        | Ok p -> p
-        | Error m -> failwith m)
-  in
   let ccfg ?(incremental_gc = true) () =
     cfg ~incremental_gc ~jit_threshold:2 ()
   in
   let warm_cold ?(pname = "mpfr") ~config prog =
-    let d = Fleet.port_driver (port pname) in
+    let d = Fleet.port_driver (port_of pname) in
     let key = d.Fleet.d_session_key ~config prog in
     let cold_store = Fpvm.Artifact.create () in
     let cold = d.Fleet.d_run ~artifacts:cold_store ~config prog in
@@ -1868,19 +1766,14 @@ let bench_cache () =
                   /. float_of_int sc.Fpvm.Stats.cyc_jit)
         in
         let saved = cold.Fpvm.Engine.cycles - warm.Fpvm.Engine.cycles in
-        if elim >= 95.0 then incr passed;
+        if elim >= cache_min_elim_pct then incr passed;
         if
           Fpvm.Stats.fingerprint sc <> Fpvm.Stats.fingerprint sw
           || cold.Fpvm.Engine.output <> warm.Fpvm.Engine.output
-        then begin
-          incr failures;
-          printf "FAIL %s: warm run not bit-identical to cold\n" name
-        end;
-        if saved <> sw.Fpvm.Stats.cyc_compile_shared then begin
-          incr failures;
-          printf "FAIL %s: conservation broken (saved %d, bucket %d)\n" name
-            saved sw.Fpvm.Stats.cyc_compile_shared
-        end;
+        then fail "%s: warm run not bit-identical to cold" name;
+        if saved <> sw.Fpvm.Stats.cyc_compile_shared then
+          fail "%s: conservation broken (saved %d, bucket %d)" name saved
+            sw.Fpvm.Stats.cyc_compile_shared;
         printf "%-12s %12d %12d %11.1f%% %14d %10d\n%!" name
           sc.Fpvm.Stats.cyc_jit sw.Fpvm.Stats.cyc_jit elim saved
           sc.Fpvm.Stats.jit_compiles;
@@ -1897,15 +1790,13 @@ let bench_cache () =
           warm.Fpvm.Engine.cycles elim)
       subjects
   in
-  if !passed < 3 then begin
-    incr failures;
-    printf "FAIL: only %d workload(s) reached 95%% elimination (need 3)\n"
-      !passed
-  end;
+  if !passed < cache_min_workloads then
+    fail "only %d workload(s) reached %.1f%% elimination (need %d)" !passed
+      cache_min_elim_pct cache_min_workloads;
   (* 2. fleet-wide dedup: 8 identical guests, each block compiled once *)
   let g =
     { Fleet.g_id = 0; g_workload = "lorenz"; g_scale = W.Test;
-      g_port = port "vanilla"; g_config = ccfg () }
+      g_port = port_of "vanilla"; g_config = ccfg () }
   in
   let guests = List.init 8 (fun i -> { g with Fleet.g_id = i }) in
   let f = Fleet.serve ~domains:2 guests in
@@ -1921,16 +1812,12 @@ let bench_cache () =
      (%.1fx dedup), %d compile cycles off-guest\n"
     f.Fleet.f_blocks_published f.Fleet.f_blocks_shared dedup
     f.Fleet.f_cyc_compile_shared;
-  if f.Fleet.f_blocks_published <> compiles then begin
-    incr failures;
-    printf "FAIL: fleet published %d blocks, solo compiles %d\n"
-      f.Fleet.f_blocks_published compiles
-  end;
-  if f.Fleet.f_blocks_shared <> 7 * compiles then begin
-    incr failures;
-    printf "FAIL: fleet shared %d blocks, expected %d\n" f.Fleet.f_blocks_shared
-      (7 * compiles)
-  end;
+  if f.Fleet.f_blocks_published <> compiles then
+    fail "fleet published %d blocks, solo compiles %d"
+      f.Fleet.f_blocks_published compiles;
+  if f.Fleet.f_blocks_shared <> 7 * compiles then
+    fail "fleet shared %d blocks, expected %d" f.Fleet.f_blocks_shared
+      (7 * compiles);
   (* 3. warm == cold identity: 5 ports x 2 GC modes *)
   printf "\nwarm == cold bit-identity, 5 ports x 2 GC modes:\n";
   let identity_ok = ref 0 in
@@ -1948,11 +1835,9 @@ let bench_cache () =
             && Fpvm.Stats.fingerprint cold.Fpvm.Engine.stats
                = Fpvm.Stats.fingerprint warm.Fpvm.Engine.stats
           then incr identity_ok
-          else begin
-            incr failures;
-            printf "FAIL %s/gc=%s: warm differs from cold\n" pname
-              (if inc then "incremental" else "full")
-          end)
+          else
+            fail "%s/gc=%s: warm differs from cold" pname
+              (if inc then "incremental" else "full"))
         [ true; false ])
     [ "vanilla"; "mpfr"; "posit"; "interval"; "slash" ];
   printf "  identical: %d/10\n" !identity_ok;
@@ -1976,8 +1861,8 @@ let bench_cache () =
        on-guest; warm run loads it from disk and claims every block as \
        shared, moving the charge to cyc_compile_shared; measured over the \
        startup window, where compile charges dominate cyc_jit\",\n\
-       \  \"ratchet\": { \"cyc_jit_elimination_min_pct\": 95.0, \
-       \"min_workloads\": 3, \"fleet_publishes_each_block_once\": true, \
+       \  \"ratchet\": { \"cyc_jit_elimination_min_pct\": %.1f, \
+       \"min_workloads\": %d, \"fleet_publishes_each_block_once\": true, \
        \"identity_runs\": 10 },\n\
        \  \"workloads\": [\n%s\n  ],\n\
        \  \"workloads_at_95pct\": %d,\n\
@@ -1986,34 +1871,26 @@ let bench_cache () =
        \"cyc_compile_shared\": %d },\n\
        \  \"identity_runs_ok\": %d\n\
        }\n"
+      cache_min_elim_pct cache_min_workloads
       (String.concat ",\n" rows)
       !passed f.Fleet.f_blocks_published f.Fleet.f_blocks_shared dedup
       f.Fleet.f_cyc_compile_shared !identity_ok
   in
-  let oc = open_out "BENCH_cache.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_cache.json\n";
-  if !failures > 0 then begin
-    printf "cache experiment: %d assertion(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_bench "BENCH_cache.json" doc
 
 (* ---- BENCH_flows.json: FP-exception flight recorder ---------------------- *)
 
 (* Evidence for the flight recorder: attaching it charges zero modeled
    cycles and leaves the deterministic fingerprint bit-identical on
-   every arithmetic port and both GC modes, and on >= 3 workloads with
+   every arithmetic port and both GC modes, and on >=
+   flows_min_workloads workloads with
    an injected NaN it recovers the birth->prop->kill chain (birth
    site, kill site, replay birth-event index) and the interval ground
    truth labels the injected 0/0 real. Writes BENCH_flows.json. *)
+let flows_min_workloads = 3
+
 let bench_flows () =
   hr "BENCH_flows.json: flight-recorder overhead + chain recovery";
-  let failures = ref 0 in
-  let check name ok =
-    printf "%-64s %s\n%!" name (if ok then "ok" else "FAIL");
-    if not ok then incr failures
-  in
   let module FR = Telemetry.Flowrec in
   let ports =
     [ ("vanilla", Fleet.Port.Vanilla);
@@ -2061,7 +1938,7 @@ let bench_flows () =
           [ true; false ])
       ports
   in
-  (* 2. Chain recovery: inject a NaN into >= 3 workloads, recover the
+  (* 2. Chain recovery: inject a NaN into three workloads, recover the
      flow, and label it against the interval ground truth. *)
   let d_mpfr = Fleet.port_driver (Fleet.Port.Mpfr 50) in
   let d_iv = Fleet.port_driver Fleet.Port.Interval in
@@ -2107,6 +1984,11 @@ let bench_flows () =
   let recovery_rows =
     List.map recover [ "lorenz"; "three-body"; "fbench" ]
   in
+  check "fingerprint identity: 5 ports x 2 GC modes"
+    (List.length overhead_rows = 10);
+  check
+    (Printf.sprintf "chains recovered on >= %d workloads" flows_min_workloads)
+    (List.length recovery_rows >= flows_min_workloads);
   let doc =
     Printf.sprintf
       "{\n\
@@ -2114,23 +1996,17 @@ let bench_flows () =
        \  \"experiment\": \"FP-exception flight recorder: birth->prop->kill \
        flow chains, zero-overhead observation, interval ground truth\",\n\
        \  \"scale\": \"test\",\n\
-       \  \"ratchet\": { \"overhead_pct_max\": 0.0, \"min_workloads\": 3, \
+       \  \"ratchet\": { \"overhead_pct_max\": 0.0, \"min_workloads\": %d, \
        \"fingerprint_identity_runs\": %d },\n\
        \  \"overhead\": [\n%s\n  ],\n\
        \  \"recovery\": [\n%s\n  ]\n\
        }\n"
+      flows_min_workloads
       (List.length overhead_rows)
       (String.concat ",\n" overhead_rows)
       (String.concat ",\n" recovery_rows)
   in
-  let oc = open_out "BENCH_flows.json" in
-  output_string oc doc;
-  close_out oc;
-  printf "\nwrote BENCH_flows.json\n";
-  if !failures > 0 then begin
-    printf "flows experiment: %d assertion(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_bench "BENCH_flows.json" doc
 
 let experiments =
   [ ("fig3", fig3);

@@ -128,9 +128,7 @@ let serve manifest domains batch switch_cost flows verify_solo json quiet =
                     (* compile-cycle conservation: a storeless solo run
                        pays on-guest exactly what the fleet guest saw
                        elided into its off-guest bucket *)
-                    && solo.Fpvm.Engine.cycles
-                       = r.Fleet.r_cycles
-                         + r.Fleet.r_stats.Fpvm.Stats.cyc_compile_shared
+                    && solo.Fpvm.Engine.cycles = Fleet.cold_cycles r
                   in
                   if not ok then begin
                     incr mismatches;

@@ -1360,53 +1360,34 @@ module Make (A : Arith.S) = struct
   (* Execute [insn] at [idx] under software pre/postcondition checks.
      Precondition: no input operand is NaN-boxed. Postcondition: the
      native execution raised no FP events. Either failing routes to the
-     emulator, exactly like a trap-and-patch custom handler. *)
+     emulator, exactly like a trap-and-patch custom handler. Native
+     dispatch runs with every event unmasked, so a failed postcondition
+     is a precise fault: the destination is unwritten and RIP is still
+     at the site, and the emulator starts from the original inputs. *)
   let software_execute t st idx (insn : Isa.insn) =
     match Decoder.decode_insn insn with
     | None ->
         (* not an FP instruction: nothing to check *)
         ignore (Cpu.dispatch st idx insn)
     | Some d ->
-        let pre_fail =
+        if
           t.config.always_emulate
           || inputs_any snan_bits st [ d.Decoder.src; d.Decoder.dst ]
                d.Decoder.lanes
-        in
-        if pre_fail then emulate t st idx insn
+        then emulate t st idx insn
         else begin
-          (* Save inputs so a postcondition failure can rerun. *)
-          let saved =
-            List.filter_map
-              (fun (o : Isa.operand) ->
-                match o with
-                | Isa.Xmm _ | Isa.Mem _ ->
-                    Some
-                      (Array.init d.Decoder.lanes (fun lane ->
-                           let l = bind_lane st o lane in
-                           (l, read_loc st l)))
-                | Isa.Reg _ | Isa.Imm _ -> None)
-              [ d.Decoder.dst; d.Decoder.src ]
-          in
-          let saved_flags = Mx.flags st.State.mxcsr in
-          Mx.clear_flags st.State.mxcsr;
-          (* Native execution cannot fault here: this path is only used
-             when exceptions are masked (static/patched modes). *)
-          (match Cpu.dispatch st idx insn with
+          let mx = st.State.mxcsr in
+          let flags = Mx.flags mx and masks = Mx.masks mx in
+          Mx.unmask_all mx;
+          let outcome = Cpu.dispatch st idx insn in
+          Mx.set_masks mx masks;
+          match outcome with
           | Cpu.Running | Cpu.Halted -> ()
           | Cpu.Fp_fault _ | Cpu.Correctness_fault _ ->
-              (* Masked mode cannot fault; treat defensively. *)
-              emulate t st idx insn);
-          let events = Mx.flags st.State.mxcsr in
-          Mx.clear_flags st.State.mxcsr;
-          Mx.set_flags st.State.mxcsr saved_flags;
-          if events <> F.none then begin
-            (* postcondition failed: restore inputs and emulate *)
-            List.iter
-              (fun arr -> Array.iter (fun (l, v) -> write_loc st l v) arr)
-              saved;
-            st.State.rip <- idx; (* emulate advances it *)
-            emulate t st idx insn
-          end
+              (* the faulting run's events are not the guest's *)
+              Mx.clear_flags mx;
+              Mx.set_flags mx flags;
+              emulate t st idx insn
         end
 
   (* ---- correctness traps (paper 4.2) ---------------------------------- *)

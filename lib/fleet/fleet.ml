@@ -291,6 +291,11 @@ type guest_result = {
   r_stats : Fpvm.Stats.t;
 }
 
+(* A guest's cycles as if it had compiled every superblock itself: the
+   on-guest cycles plus the compile charges the artifact store elided.
+   Equal to a solo run's cycles, whichever guest published first. *)
+let cold_cycles r = r.r_cycles + r.r_stats.Fpvm.Stats.cyc_compile_shared
+
 (* ---- manifest ---------------------------------------------------------- *)
 
 module Manifest = struct
@@ -520,13 +525,16 @@ type fleet_result = {
   f_switches : int; (* guest context switches, fleet-wide *)
   f_facts_hits : int; (* analyses shared via the fact store *)
   f_facts_misses : int; (* analyses actually computed *)
-  f_domain_cycles : int array; (* per-domain modeled makespan *)
+  (* per-domain modeled makespan: cold-equivalent guest cycles plus
+     switch charges, so it does not depend on which domain published a
+     shared superblock first *)
+  f_domain_cycles : int array;
   f_makespan : int; (* max over domains *)
   f_total_cycles : int; (* sum of per-guest cycles *)
   (* compilation-artifact sharing (the fleet-level compile bucket):
      every superblock's compile charge lands in exactly one guest's
      cycles (the publisher's); later identical compiles are elided into
-     f_cyc_compile_shared, outside every makespan term *)
+     f_cyc_compile_shared, outside f_total_cycles *)
   f_blocks_published : int;
   f_blocks_shared : int;
   f_cyc_compile_shared : int;
@@ -712,7 +720,7 @@ let serve ?(domains = 1) ?(batch = 8) ?(switch_cost = default_switch_cost)
   let domain_cycles =
     Array.map
       (fun (rs, sw) ->
-        List.fold_left (fun a r -> a + r.r_cycles) 0 rs + (sw * switch_cost))
+        List.fold_left (fun a r -> a + cold_cycles r) 0 rs + (sw * switch_cost))
       per_dom
   in
   let by_id = List.sort (fun a b -> compare a.r_guest.g_id b.r_guest.g_id) all in

@@ -219,7 +219,7 @@ let fleet_tests =
               r.Fleet.r_fingerprint;
             Alcotest.(check int) "per-guest cycle conservation"
               solo.Fpvm.Engine.cycles
-              (r.Fleet.r_cycles + r.Fleet.r_stats.Fpvm.Stats.cyc_compile_shared))
+              (Fleet.cold_cycles r))
           f.Fleet.f_results;
         (* fleet-wide ledger: elided cycles match the per-guest buckets *)
         Alcotest.(check int) "ledger"

@@ -182,6 +182,24 @@ let serve_tests =
             Alcotest.(check string) "output" solo.Fpvm.Engine.output
               r.Fleet.r_output)
           f.Fleet.f_results);
+    Alcotest.test_case "domain cycles do not depend on who publishes first"
+      `Quick (fun () ->
+        (* identical guests on two domains race to publish the same
+           superblocks; each domain's makespan counts every guest at its
+           cold-equivalent (solo) cycles, so the sum is fixed *)
+        let g =
+          { (mk ~arith:"mpfr" "lorenz") with
+            Fleet.g_config =
+              { Fpvm.Engine.default_config with Fpvm.Engine.jit_threshold = 2 } }
+        in
+        let guests = List.init 4 (fun i -> { g with Fleet.g_id = i }) in
+        let f = Fleet.serve ~domains:2 guests in
+        let solo = (Fleet.run_solo g).Fpvm.Engine.cycles in
+        Alcotest.(check bool) "guests share blocks" true
+          (f.Fleet.f_blocks_shared > 0);
+        Alcotest.(check int) "sum of domain cycles = solo cycles + switches"
+          ((4 * solo) + (f.Fleet.f_switches * Fleet.default_switch_cost))
+          (Array.fold_left ( + ) 0 f.Fleet.f_domain_cycles));
     Alcotest.test_case "invalid fleets rejected" `Quick (fun () ->
         Alcotest.check_raises "no guests"
           (Invalid_argument "fleet: no guests") (fun () ->

@@ -239,7 +239,28 @@ let validation_tests =
             Alcotest.(check string) "output" native.Fpvm.Engine.output
               r.Fpvm.Engine.output)
           [ Fpvm.Engine.Trap_and_emulate; Fpvm.Engine.Trap_and_patch;
-            Fpvm.Engine.Static_transform ]);
+            Fpvm.Engine.Static_transform ];
+        (* A patched site's handler emulates exactly the executions the
+           trap would have: never a second time after a failed native
+           attempt. Tiers off, so both approaches step the same way. *)
+        List.iter
+          (fun (e : Workloads.entry) ->
+            let prog = e.Workloads.program Workloads.Test in
+            let run approach =
+              (E_vanilla.run
+                 ~config:
+                   { Fpvm.Engine.default_config with
+                     Fpvm.Engine.approach; use_plans = false; use_jit = false }
+                 prog)
+                .Fpvm.Engine.stats
+            in
+            let te = run Fpvm.Engine.Trap_and_emulate
+            and tp = run Fpvm.Engine.Trap_and_patch in
+            Alcotest.(check (pair int int))
+              (e.Workloads.name ^ ": patch emulations, boxes = emulate's")
+              (te.Fpvm.Stats.emulated_insns, te.Fpvm.Stats.boxes_allocated)
+              (tp.Fpvm.Stats.emulated_insns, tp.Fpvm.Stats.boxes_allocated))
+          Workloads.all);
     Alcotest.test_case "trap-and-patch stops trapping after patch" `Quick
       (fun () ->
         let prog = build_iter_prog 500 in
